@@ -2,7 +2,8 @@
 //!
 //! Runs one global and one local diffusion migration on fixed generated
 //! circuits with [`DiffusionConfig::default`] — which honors the
-//! `DPM_THREADS` environment variable — and prints an FNV-1a hash over
+//! `DPM_SOLVER` and `DPM_THREADS` environment variables — and prints an
+//! FNV-1a hash over
 //! the exact IEEE-754 bit patterns of every final cell position plus
 //! the step/round counts. Because the `dpm-par` decomposition is
 //! independent of the worker count, the printed checksum must be
@@ -16,17 +17,14 @@
 //! default (planar) output is byte-identical to what it was before the
 //! volumetric mode existed.
 //!
-//! With the `f32` argument it runs the planar pair in
-//! [`FieldPrecision::F32`] (FTCS only — the spectral solver is f64-only)
-//! and prints that mode's own checksum, which must likewise be
-//! invariant across `DPM_THREADS` *and* `DPM_LANES`.
+//! The kernels have one production path (f64 field, lane-wide
+//! stencils), so these checksums are the whole contract; the scalar
+//! per-bin loop they are bit-identical to is checked inside the
+//! `dpm-diffusion` test suite.
 //!
-//! Usage: `cargo run --release --bin golden_checksum [-- vol|f32]`
+//! Usage: `cargo run --release --bin golden_checksum [-- vol]`
 
-use dpm_diffusion::{
-    DiffusionConfig, FieldPrecision, GlobalDiffusion, LocalDiffusion, SolverKind,
-    VolumetricDiffusion,
-};
+use dpm_diffusion::{DiffusionConfig, GlobalDiffusion, LocalDiffusion, VolumetricDiffusion};
 use dpm_gen::{CircuitSpec, InflationSpec, VolCircuitSpec};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -73,19 +71,10 @@ fn main() {
     let cfg = DiffusionConfig::default();
     eprintln!("golden_checksum: {} worker thread(s)", cfg.threads);
 
-    let mode = std::env::args().nth(1);
-    if mode.as_deref() == Some("vol") {
+    if std::env::args().nth(1).as_deref() == Some("vol") {
         println!("{:016x}", vol_checksum(&cfg));
         return;
     }
-    let cfg = if mode.as_deref() == Some("f32") {
-        // The f32 leg pins its own checksum: same circuits, FTCS
-        // stepper (spectral is f64-only), single-precision field.
-        cfg.with_solver(SolverKind::Ftcs)
-            .with_precision(FieldPrecision::F32)
-    } else {
-        cfg
-    };
 
     let mut hash = FNV_OFFSET;
     for (global, cells, seed) in [(true, 400usize, 11u64), (false, 600, 23)] {

@@ -1,4 +1,12 @@
 //! Diffusion parameters.
+//!
+//! [`DiffusionConfig`] holds every knob of a diffusion run. Two of them
+//! default from the environment so `scripts/ci.sh` can replay the whole
+//! suite under a determinism matrix: `DPM_SOLVER` picks the density
+//! solver and `DPM_THREADS` the worker count (results are bit-identical
+//! at any count). The grid kernels themselves have no mode switch: the
+//! field is always f64 and interior lines always run the lane-wide
+//! stencils (see `DESIGN.md` §16).
 
 use std::error::Error;
 use std::fmt;
@@ -53,10 +61,6 @@ pub enum ConfigError {
     /// rule: the DCT basis diagonalizes only the conservative
     /// zero-flux boundary operator, so `paper_boundaries` must be off.
     SpectralPaperBoundaries,
-    /// The spectral solver combined with the f32 field mode: the DCT
-    /// jump runs in f64 only, so [`FieldPrecision::F32`] requires the
-    /// FTCS stepper.
-    SpectralF32Field,
 }
 
 impl fmt::Display for ConfigError {
@@ -88,11 +92,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "spectral solver requires the conservative zero-flux boundary \
                  rule (paper_boundaries must be off)"
-            ),
-            ConfigError::SpectralF32Field => write!(
-                f,
-                "spectral solver runs in f64 only: precision must be f64 \
-                 (FieldPrecision::F32 applies to the FTCS stepper)"
             ),
         }
     }
@@ -131,78 +130,6 @@ impl SolverKind {
         match self {
             SolverKind::Ftcs => "ftcs",
             SolverKind::Spectral => "spectral",
-        }
-    }
-}
-
-/// How the grid kernels walk bin lines.
-///
-/// [`Wide`](LaneMode::Wide) (the default) runs the explicit lane-chunked
-/// fast paths on fully-live interior lines — 4 bins per chunk in f64,
-/// 8 in f32 — falling back to the generic per-bin path on boundary and
-/// masked lines. [`Scalar`](LaneMode::Scalar) forces the generic path
-/// everywhere.
-///
-/// The two modes are **bit-identical**: on the lines the fast path
-/// handles, every neighbor is in-grid and live, where the mirror and
-/// conservative boundary rules both reduce to plain neighbor reads, and
-/// the lane loops perform the exact per-bin operation sequence of the
-/// generic path. `scripts/ci.sh` pins that claim by reproducing the
-/// golden checksums under `DPM_LANES=scalar` and `wide`; the scalar mode
-/// otherwise exists as the throughput baseline `perf_kernels` records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneMode {
-    /// Generic per-bin loops everywhere (the reference path).
-    Scalar,
-    /// Lane-chunked fast paths on interior lines (the default).
-    #[default]
-    Wide,
-}
-
-impl LaneMode {
-    /// Stable lowercase name, as used by `DPM_LANES` and bench JSON.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            LaneMode::Scalar => "scalar",
-            LaneMode::Wide => "wide",
-        }
-    }
-}
-
-/// Arithmetic width of the evolving density field.
-///
-/// [`F64`](FieldPrecision::F64) (the default) is the bit-exactness
-/// anchor: every golden checksum and determinism guarantee is stated in
-/// f64. [`F32`](FieldPrecision::F32) halves the field's memory traffic
-/// and doubles the lane width — migration-grade accuracy for the FTCS
-/// stepper, verified by tolerance fixtures against analytic cosine
-/// flows rather than bit-exact goldens (f32 runs are still bit-identical
-/// across thread counts and lane modes, just not across precisions).
-///
-/// The spectral solver always runs in f64
-/// ([`validate`](DiffusionConfig::validate) rejects the combination),
-/// and there is deliberately no environment override: precision changes
-/// results, so it must be chosen explicitly per run.
-///
-/// The discriminants are the wire encoding of the `dpm-serve` precision
-/// extension byte; frames without the extension decode as
-/// [`F64`](FieldPrecision::F64).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
-pub enum FieldPrecision {
-    /// Full-width field (the default; all bit-exactness goldens).
-    #[default]
-    F64 = 0,
-    /// Single-precision field for the FTCS stepper (opt-in).
-    F32 = 1,
-}
-
-impl FieldPrecision {
-    /// Stable lowercase name, as used by bench JSON.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FieldPrecision::F64 => "f64",
-            FieldPrecision::F32 => "f32",
         }
     }
 }
@@ -283,15 +210,6 @@ pub struct DiffusionConfig {
     /// `"spectral"`), else [`SolverKind::Ftcs`] — CI runs the test
     /// suite under both to keep the spectral path honest.
     pub solver: SolverKind,
-    /// How the grid kernels walk bin lines (results are bit-identical
-    /// either way). Defaults to the `DPM_LANES` environment variable
-    /// (`"scalar"` or `"wide"`), else [`LaneMode::Wide`] — CI reproduces
-    /// the golden checksums under both to enforce the equivalence.
-    pub lanes: LaneMode,
-    /// Arithmetic width of the density field. Always
-    /// [`FieldPrecision::F64`] unless set explicitly — precision changes
-    /// results, so there is no environment override.
-    pub precision: FieldPrecision,
     /// Worker threads for the FTCS density step (1 = serial; results are
     /// identical either way). Defaults to the `DPM_THREADS` environment
     /// variable when it holds a positive integer, else 1 — CI runs the
@@ -334,25 +252,6 @@ fn default_solver() -> SolverKind {
     parse_solver(std::env::var("DPM_SOLVER").ok().as_deref()).unwrap_or_default()
 }
 
-/// Parses a `DPM_LANES`-style value: `"scalar"` or `"wide"`
-/// (case-insensitive, whitespace-trimmed), else `None`.
-fn parse_lanes(value: Option<&str>) -> Option<LaneMode> {
-    match value?.trim().to_ascii_lowercase().as_str() {
-        "scalar" => Some(LaneMode::Scalar),
-        "wide" => Some(LaneMode::Wide),
-        _ => None,
-    }
-}
-
-/// Default lane mode: `DPM_LANES` from the environment when it names a
-/// known mode, else [`LaneMode::Wide`]. Lane mode never changes results
-/// (the fast paths are bit-identical to the generic path), so this is a
-/// pure performance knob; `scripts/ci.sh` reproduces the golden
-/// checksums under `scalar` and `wide` to enforce exactly that.
-fn default_lanes() -> LaneMode {
-    parse_lanes(std::env::var("DPM_LANES").ok().as_deref()).unwrap_or_default()
-}
-
 impl Default for DiffusionConfig {
     fn default() -> Self {
         Self {
@@ -371,8 +270,6 @@ impl Default for DiffusionConfig {
             max_step_displacement: 1.0,
             paper_boundaries: false,
             solver: default_solver(),
-            lanes: default_lanes(),
-            precision: FieldPrecision::F64,
             threads: default_threads(),
         }
     }
@@ -501,22 +398,6 @@ impl DiffusionConfig {
         self
     }
 
-    /// Selects the kernel lane mode (results are bit-identical either
-    /// way; `Scalar` is the throughput baseline).
-    pub fn with_lanes(mut self, lanes: LaneMode) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// Selects the density-field precision. [`FieldPrecision::F32`]
-    /// applies only to the FTCS stepper; combine it with
-    /// [`SolverKind::Spectral`] and [`validate`](Self::validate)
-    /// rejects the config.
-    pub fn with_precision(mut self, precision: FieldPrecision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Sets the FTCS worker-thread count.
     ///
     /// # Panics
@@ -600,9 +481,6 @@ impl DiffusionConfig {
             if self.paper_boundaries {
                 return Err(ConfigError::SpectralPaperBoundaries);
             }
-            if self.precision == FieldPrecision::F32 {
-                return Err(ConfigError::SpectralF32Field);
-            }
         }
         Ok(())
     }
@@ -674,48 +552,6 @@ mod tests {
         assert_eq!(SolverKind::default(), SolverKind::Ftcs);
         assert_eq!(SolverKind::Ftcs as u8, 0);
         assert_eq!(SolverKind::Spectral as u8, 1);
-    }
-
-    #[test]
-    fn lane_env_parsing_accepts_only_known_modes() {
-        assert_eq!(parse_lanes(None), None);
-        assert_eq!(parse_lanes(Some("")), None);
-        assert_eq!(parse_lanes(Some("simd")), None);
-        assert_eq!(parse_lanes(Some("scalar")), Some(LaneMode::Scalar));
-        assert_eq!(parse_lanes(Some(" WIDE ")), Some(LaneMode::Wide));
-        assert_eq!(parse_lanes(Some("Scalar")), Some(LaneMode::Scalar));
-    }
-
-    #[test]
-    fn lane_and_precision_names_are_stable() {
-        assert_eq!(LaneMode::Scalar.as_str(), "scalar");
-        assert_eq!(LaneMode::Wide.as_str(), "wide");
-        assert_eq!(LaneMode::default(), LaneMode::Wide);
-        assert_eq!(FieldPrecision::F64.as_str(), "f64");
-        assert_eq!(FieldPrecision::F32.as_str(), "f32");
-        assert_eq!(FieldPrecision::default(), FieldPrecision::F64);
-        assert_eq!(FieldPrecision::F64 as u8, 0);
-        assert_eq!(FieldPrecision::F32 as u8, 1);
-    }
-
-    #[test]
-    fn validate_rejects_spectral_f32() {
-        let c = DiffusionConfig::default()
-            .with_solver(SolverKind::Spectral)
-            .with_precision(FieldPrecision::F32);
-        assert_eq!(c.validate(), Err(ConfigError::SpectralF32Field));
-        let msg = c.validate().unwrap_err().to_string();
-        assert!(msg.contains("f64"), "{msg}");
-
-        // FTCS accepts f32, and spectral accepts f64.
-        let c = DiffusionConfig::default()
-            .with_solver(SolverKind::Ftcs)
-            .with_precision(FieldPrecision::F32);
-        assert_eq!(c.validate(), Ok(()));
-        let c = DiffusionConfig::default()
-            .with_solver(SolverKind::Spectral)
-            .with_precision(FieldPrecision::F64);
-        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

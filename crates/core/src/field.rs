@@ -126,8 +126,6 @@ impl FieldMigration {
         );
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
-        engine.set_lanes(self.cfg.lanes);
-        engine.set_precision(self.cfg.precision);
 
         let mut telemetry = Telemetry::new();
         for step in 0..self.steps {

@@ -97,7 +97,7 @@ mod vol;
 mod window;
 
 pub use advect::AdvectOutcome;
-pub use config::{ConfigError, DiffusionConfig, FieldPrecision, LaneMode, SolverKind};
+pub use config::{ConfigError, DiffusionConfig, SolverKind};
 pub use dims::Dims;
 pub use engine::DiffusionEngine;
 pub use field::FieldMigration;
@@ -119,3 +119,69 @@ pub use vol::{
     splat_volume, volume_wall_mask, VolJobSpec, VolPlacement, VolResult, VolumetricDiffusion,
 };
 pub use window::{identify_windows, identify_windows_into};
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::with_scalar_reference;
+    use crate::{
+        DiffusionConfig, GlobalDiffusion, LocalDiffusion, SolverKind, VolPlacement,
+        VolumetricDiffusion,
+    };
+    use dpm_gen::{CircuitSpec, InflationSpec, VolCircuitSpec};
+
+    /// Exact bit patterns of a run's outcome, so `-0.0`/`0.0` or NaN
+    /// payload differences cannot hide behind float equality.
+    fn bits(counts: [usize; 2], floats: impl IntoIterator<Item = f64>) -> (Vec<usize>, Vec<u64>) {
+        (
+            counts.to_vec(),
+            floats.into_iter().map(f64::to_bits).collect(),
+        )
+    }
+
+    /// The three runners on the `golden_checksum` circuits: the global
+    /// and local planar pair, then the volumetric stack (positions,
+    /// depths and the evolved field).
+    fn golden_runs(solver: SolverKind) -> Vec<(Vec<usize>, Vec<u64>)> {
+        let cfg = DiffusionConfig::default().with_solver(solver);
+        let mut runs = Vec::new();
+        for (global, cells, seed) in [(true, 400usize, 11u64), (false, 600, 23)] {
+            let mut bench = CircuitSpec::with_size("golden", cells, seed).generate();
+            bench.inflate(&InflationSpec::centered(0.25, 0.3, seed ^ 0x901D));
+            let (nl, die, p) = (&bench.netlist, &bench.die, &mut bench.placement);
+            let result = if global {
+                GlobalDiffusion::new(cfg.clone()).run(nl, die, p)
+            } else {
+                LocalDiffusion::new(cfg.clone()).run(nl, die, p)
+            };
+            let xy = p.as_slice().iter().flat_map(|q| [q.x, q.y]);
+            runs.push(bits([result.steps, result.rounds], xy));
+        }
+        let bench = VolCircuitSpec::with_size("golden3d", 3, 250, 31)
+            .with_hotspot(1)
+            .generate();
+        // dpm-gen links its own build of this crate, so its placement is
+        // a foreign type here: rebuild it from the public fields.
+        let mut vp = VolPlacement {
+            xy: bench.placement.xy.clone(),
+            z: bench.placement.z.clone(),
+        };
+        let result =
+            VolumetricDiffusion::new(cfg, bench.layers()).run(&bench.netlist, &bench.die, &mut vp);
+        let xy = vp.xy.as_slice().iter().flat_map(|q| [q.x, q.y]);
+        let floats = xy.chain(vp.z.iter().copied()).chain(result.field);
+        runs.push(bits([result.steps, usize::from(result.converged)], floats));
+        runs
+    }
+
+    #[test]
+    fn lane_wide_runs_match_the_scalar_reference_end_to_end() {
+        for solver in [SolverKind::Ftcs, SolverKind::Spectral] {
+            let scalar = with_scalar_reference(|| golden_runs(solver));
+            let wide = golden_runs(solver);
+            let names = ["global", "local", "volumetric"];
+            for ((name, s), w) in names.iter().zip(&scalar).zip(&wide) {
+                assert_eq!(s, w, "{name} run under {solver:?} diverged from scalar");
+            }
+        }
+    }
+}

@@ -34,8 +34,8 @@
 use crate::advect::AdvectOutcome;
 use crate::spectral::SpectralSolver3;
 use crate::{
-    manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, FieldPrecision,
-    KernelEvent, KernelKind, NoopObserver, SolverKind, StepRecord, Telemetry,
+    manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, KernelEvent,
+    KernelKind, NoopObserver, SolverKind, StepRecord, Telemetry,
 };
 use dpm_geom::{clamp, Point, Point3};
 use dpm_netlist::{CellId, CellKind, Netlist};
@@ -409,8 +409,6 @@ impl VolumetricDiffusion {
             DiffusionEngine::from_raw_3d(grid.nx(), grid.ny(), job.nz, density, Some(wall));
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
-        engine.set_lanes(self.cfg.lanes);
-        engine.set_precision(self.cfg.precision);
         let splat_elapsed = splat_start.elapsed();
         engine.kernel_timers_mut().splat.record(splat_elapsed, 1);
         observer.on_kernel(&kernel_event(KernelKind::Splat, splat_elapsed));
@@ -431,7 +429,6 @@ impl VolumetricDiffusion {
 
         let use_spectral = job.exact_steps.is_none()
             && self.cfg.solver == SolverKind::Spectral
-            && self.cfg.precision == FieldPrecision::F64
             && !self.cfg.paper_boundaries
             && !engine.wall_mask().iter().any(|&w| w);
 

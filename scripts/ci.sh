@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Hermetic CI gate: formatting, lints, docs, build, tests, a kernel
-# determinism matrix (solver × lane mode × thread count, plus the f32
-# field mode), kernel throughput floors, and service smoke tests, all
-# offline.
+# determinism matrix (solver × thread count), kernel throughput floors,
+# and service smoke tests, all offline.
 #
 # The workspace has zero registry dependencies by design — everything
 # resolves from path crates — so `--offline` must always succeed. Any
@@ -68,54 +67,34 @@ cargo build --release --offline --workspace
 gate "cargo test"
 cargo test -q --release --offline --workspace
 
-gate "determinism matrix (DPM_SOLVER × DPM_LANES × DPM_THREADS, pinned checksums)"
-# The dpm-par decomposition is independent of the worker count and the
-# wide-lane kernel paths are bit-identical to the scalar reference, so
-# the golden placement checksums must reproduce these pinned literals at
-# every (solver, lane mode, thread count) combination — for both the
-# planar run and the volumetric (3-tier) leg. The literals are part of
-# the contract: any kernel change that shifts a single output bit fails
+gate "determinism matrix (DPM_SOLVER × DPM_THREADS, pinned checksums)"
+# The dpm-par decomposition is independent of the worker count, so the
+# golden placement checksums must reproduce these pinned literals at
+# every (solver, thread count) combination — for both the planar run
+# and the volumetric (3-tier) leg. The literals are part of the
+# contract: any kernel change that shifts a single output bit fails
 # here instead of being silently re-baselined. The dpm-diffusion test
-# suite (which carries its own lane/seam fixtures) runs once per
-# (solver, threads) pair on the production wide configuration.
+# suite runs once per pair too; its scalar-oracle fixtures check the
+# lane-wide kernels against the per-bin reference loop bit for bit.
 declare -A golden_plain=([ftcs]=cef7fcd6348a9441 [spectral]=87b3c85022bddcf4)
 declare -A golden_vol=([ftcs]=dcc914ce61fcb375 [spectral]=38f1b000b964ad02)
-golden_f32=121830412028994b
 for solver in ftcs spectral; do
-    for lanes in scalar wide; do
-        for t in 1 2 4; do
-            if [[ "$lanes" == wide ]]; then
-                echo "  -> DPM_SOLVER=$solver DPM_THREADS=$t: dpm-diffusion test suite"
-                DPM_SOLVER=$solver DPM_LANES=$lanes DPM_THREADS=$t cargo test -q --release --offline -p dpm-diffusion
-            fi
-            got=$(DPM_SOLVER=$solver DPM_LANES=$lanes DPM_THREADS=$t cargo run --release --offline -p dpm-bench --bin golden_checksum 2>/dev/null)
-            if [[ "$got" != "${golden_plain[$solver]}" ]]; then
-                echo "DETERMINISM BREAK: $solver lanes=$lanes threads=$t planar checksum $got != ${golden_plain[$solver]}" >&2
-                exit 1
-            fi
-            got=$(DPM_SOLVER=$solver DPM_LANES=$lanes DPM_THREADS=$t cargo run --release --offline -p dpm-bench --bin golden_checksum -- vol 2>/dev/null)
-            if [[ "$got" != "${golden_vol[$solver]}" ]]; then
-                echo "DETERMINISM BREAK: $solver lanes=$lanes threads=$t volumetric checksum $got != ${golden_vol[$solver]}" >&2
-                exit 1
-            fi
-        done
-    done
-    echo "  -> $solver planar+volumetric checksums pinned across lanes × threads"
-done
-# The f32 field mode pins its own checksum (FTCS only — the spectral
-# solver stays f64). It must be invariant across BOTH axes: the lane
-# paths never regroup the f32 summation order, and threads only change
-# scheduling, never arithmetic.
-for lanes in scalar wide; do
     for t in 1 2 4; do
-        got=$(DPM_LANES=$lanes DPM_THREADS=$t cargo run --release --offline -p dpm-bench --bin golden_checksum -- f32 2>/dev/null)
-        if [[ "$got" != "$golden_f32" ]]; then
-            echo "DETERMINISM BREAK: f32 lanes=$lanes threads=$t checksum $got != $golden_f32" >&2
+        echo "  -> DPM_SOLVER=$solver DPM_THREADS=$t: dpm-diffusion test suite"
+        DPM_SOLVER=$solver DPM_THREADS=$t cargo test -q --release --offline -p dpm-diffusion
+        got=$(DPM_SOLVER=$solver DPM_THREADS=$t cargo run --release --offline -p dpm-bench --bin golden_checksum 2>/dev/null)
+        if [[ "$got" != "${golden_plain[$solver]}" ]]; then
+            echo "DETERMINISM BREAK: $solver threads=$t planar checksum $got != ${golden_plain[$solver]}" >&2
+            exit 1
+        fi
+        got=$(DPM_SOLVER=$solver DPM_THREADS=$t cargo run --release --offline -p dpm-bench --bin golden_checksum -- vol 2>/dev/null)
+        if [[ "$got" != "${golden_vol[$solver]}" ]]; then
+            echo "DETERMINISM BREAK: $solver threads=$t volumetric checksum $got != ${golden_vol[$solver]}" >&2
             exit 1
         fi
     done
+    echo "  -> $solver planar+volumetric checksums pinned across threads"
 done
-echo "  -> f32 checksum pinned across lanes × threads"
 
 gate "kernel smoke test (perf_kernels --smoke)"
 # Runs the kernel harness on a 64x64 grid, including the spectral-vs-FTCS
@@ -132,13 +111,6 @@ grep -q '"flops_ratio"' "$kernels_out"
 grep -q '"stencil3d"' "$kernels_out"
 grep -q '"nz": 4' "$kernels_out"
 grep -Eq '"kernel": "stencil3d", "threads": 8' "$kernels_out"
-# The lane/precision axes: every sample carries both keys, the
-# single-thread ladder includes the scalar-lane reference and the f32
-# field mode, and the derived speedup ratios are emitted.
-grep -q '"lanes": "scalar"' "$kernels_out"
-grep -q '"precision": "f32"' "$kernels_out"
-grep -q '"lane_speedup_1t"' "$kernels_out"
-grep -q '"f32_speedup_1t"' "$kernels_out"
 grep -q '"calibration"' "$kernels_out"
 
 echo "  -> throughput floors (ns/call ceilings scaled by the calibration loop)"
