@@ -1,6 +1,7 @@
-//! Open-loop load generator for the `dpm-serve` migration service.
+//! Open-loop load generator for the migration service.
 //!
-//! Starts a server on an ephemeral port, replays a deterministic
+//! Starts a single-tenant `dpm-ctl` [`CtlServer`] running jobs in
+//! process on an ephemeral port, replays a deterministic
 //! arrival schedule (exponential inter-arrivals from `dpm-rng`) from a
 //! pool of sender threads, and reports throughput plus p50/p95/p99/max
 //! latency, split into queue wait and service time as measured by the
@@ -26,7 +27,7 @@
 //! counter.
 //!
 //! `--tenants N` switches to the **multi-tenant control-plane mode**:
-//! instead of a bare server it boots a `dpm-ctl` [`CtlServer`] in
+//! instead of a single-tenant server it boots a [`CtlServer`] in
 //! sharded mode over a health-checked backend registry seeded with one
 //! dead primary and a warm spare, opens ≥1000 idle connections to
 //! exercise the poll-based front-end, and drives N tenant threads
@@ -58,7 +59,7 @@ use dpm_serve::wire::{
     design_hash, read_frame, write_frame, FrameKind, JobKind, JobRequest, PayloadEncoding, Reply,
     DEFAULT_MAX_FRAME_LEN,
 };
-use dpm_serve::{DeltaJobRequest, EcoDelta, ServeClient, ServeConfig, Server, ShardBackend};
+use dpm_serve::{DeltaJobRequest, EcoDelta, ServeClient, ShardBackend};
 
 struct LoadSpec {
     /// Concurrent sender threads (each with its own connection).
@@ -71,7 +72,7 @@ struct LoadSpec {
     circuit_cells: &'static [usize],
     /// Server worker threads.
     workers: usize,
-    /// Server queue capacity.
+    /// Server queue capacity (the single tenant's queue bound).
     queue_capacity: usize,
 }
 
@@ -118,6 +119,17 @@ fn busy_bench_for(cells: usize, seed: u64) -> Benchmark {
     let mut b = CircuitSpec::with_size("serve", cells, seed).generate();
     b.inflate(&InflationSpec::centered(0.3, 0.25, seed ^ 0x51EE));
     b
+}
+
+/// The server under load: one tenant whose queue bound is the spec's
+/// capacity, running jobs in process.
+fn start_server(spec: &LoadSpec) -> CtlServer {
+    CtlServer::start(CtlConfig {
+        workers: spec.workers,
+        tenants: vec![TenantSpec::new("default", 1, spec.queue_capacity)],
+        ..CtlConfig::default()
+    })
+    .expect("server binds an ephemeral port")
 }
 
 /// Builds the whole request set up front so generation cost never
@@ -425,11 +437,12 @@ fn run_multi_tenant(out_path: &str, smoke: bool, tenants: usize, trace_out: Opti
         load.idle_connections,
     );
 
-    // Backend fleet: two live shard servers and one dead address. The
+    // Backend fleet: two live shard servers (single-tenant control
+    // planes) and one dead address. The
     // registry starts with the dead one as a primary, so the very first
     // job forces a permanent warm-spare replacement.
-    let live_a = Server::start("127.0.0.1:0", ServeConfig::default()).expect("backend a");
-    let live_b = Server::start("127.0.0.1:0", ServeConfig::default()).expect("backend b");
+    let live_a = CtlServer::start(CtlConfig::default()).expect("backend a");
+    let live_b = CtlServer::start(CtlConfig::default()).expect("backend b");
     let dead = dead_addr();
     let registry = BackendRegistry::new(
         vec![
@@ -457,9 +470,8 @@ fn run_multi_tenant(out_path: &str, smoke: bool, tenants: usize, trace_out: Opti
     .expect("control plane starts");
     let addr = ctl.local_addr();
 
-    // Fill the front-end with idle connections before any load. The
-    // accept drain runs once per readiness tick, so pace the connect
-    // storm instead of racing the listener backlog.
+    // Fill the front-end with idle connections before any load, pacing
+    // the connect storm instead of racing the listener backlog.
     let mut idle: Vec<TcpStream> = Vec::with_capacity(load.idle_connections);
     for i in 0..load.idle_connections {
         idle.push(TcpStream::connect(addr).expect("idle connection"));
@@ -642,15 +654,7 @@ fn run_trace_overhead(out_path: &str, smoke: bool) {
         if smoke { " (smoke)" } else { "" },
         spec.requests,
     );
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServeConfig {
-            queue_capacity: spec.queue_capacity,
-            workers: spec.workers,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server binds an ephemeral port");
+    let server = start_server(spec);
     let addr = server.local_addr();
     let requests = build_requests(spec);
 
@@ -760,15 +764,7 @@ fn main() {
         spec.rate_per_sec
     );
 
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServeConfig {
-            queue_capacity: spec.queue_capacity,
-            workers: spec.workers,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server binds an ephemeral port");
+    let server = start_server(spec);
     let addr = server.local_addr();
 
     let requests = build_requests(spec);

@@ -1,45 +1,64 @@
 //! The control-plane server: a readiness-driven front-end feeding a
 //! fair queue feeding execution workers.
 //!
+//! This is the workspace's only server. A multi-tenant [`CtlServer`] is
+//! the client front door; a single-tenant one in [`ExecMode::InProcess`]
+//! is a shard or slab backend behind another control plane's routers.
+//!
 //! One front-end thread owns every connection. It multiplexes them
 //! through a [`Readiness`] implementation (epoll on Linux, a portable
 //! scanner elsewhere and in tests), assembling frames incrementally
 //! with [`FrameAssembler`] so a thousand idle connections cost a
 //! thousand small buffers, not a thousand blocked threads. Decoded
-//! work is admitted to the [`FairQueue`] per tenant; cache-protocol
-//! frames (`PutDesign`, cache-miss `NeedDesign` answers) and stats are
-//! answered inline on the front-end thread, since they never run a
-//! diffusion.
+//! work is checked once ([`job::validate`]) and admitted to the
+//! [`FairQueue`] per tenant; cache-protocol frames (`PutDesign`,
+//! cache-miss `NeedDesign` answers) and stats are answered inline on the
+//! front-end thread, since they never run a diffusion.
 //!
 //! Worker threads pop jobs in deficit-round-robin order and execute
-//! them either in process ([`dpm_serve::execute_job`]) or across a
-//! shard fleet ([`ShardRouter`]) selected per job from the
-//! [`BackendRegistry`]. Replies travel back to the front-end through
-//! an outbox; the front-end writes them on the owning connection with
-//! the codec version that connection last spoke, so v2 clients of a
-//! v3 control plane only ever read v2 headers.
+//! them either in process ([`job::run`]) or across a shard or slab
+//! fleet ([`ShardRouter`], [`VolRouter`]) selected per job from the
+//! [`BackendRegistry`]. Replies travel back to the front-end through an
+//! outbox, and the worker wakes the front-end by writing a byte to a
+//! socket pair it polls next to the connections, so a reply leaves as
+//! soon as it exists. The front-end writes it on the owning connection
+//! with the codec version that connection last spoke, so v2 clients of
+//! a v3 control plane only ever read v2 headers.
+//!
+//! ## Ordering and shutdown
+//!
+//! A connection has at most one job queued or running. Until its reply
+//! is out the front-end stops polling the connection, and later frames
+//! wait in the socket and the assembler, so pipelined requests are
+//! answered in submission order. [`CtlServer::shutdown`] closes
+//! admission (late requests are answered [`ErrorCode::ShuttingDown`]),
+//! lets the workers drain every admitted job, and has the front-end
+//! flush every reply before it closes the connections.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dpm_diffusion::{DiffusionObserver, SpanObserver, StepEvent};
-use dpm_geom::Point;
-use dpm_obs::{labeled, normalize_spans, rebase_spans, SpanRecorder, TraceIdGen};
+use dpm_diffusion::KernelTimers;
+use dpm_obs::{
+    labeled, normalize_spans, rebase_spans, SpanRecord, SpanRecorder, TraceContext, TraceIdGen,
+};
 use dpm_serve::delta::decode_delta_request;
+use dpm_serve::job::{self, rejection};
 use dpm_serve::wire::{
     decode_design_bytes, decode_put_design, decode_request, encode_design_ack, encode_error,
     encode_need_design, encode_progress, encode_response, encode_stats, fnv1a64,
     write_frame_versioned, DesignAck, ErrorCode, ErrorReply, Frame, FrameAssembler, FrameKind,
-    JobRequest, JobResponse, NeedDesign, ProgressUpdate, WireError, DEFAULT_MAX_FRAME_LEN,
+    JobRequest, JobResponse, NeedDesign, ProgressUpdate, StatsSnapshot, DEFAULT_MAX_FRAME_LEN,
 };
 use dpm_serve::{
-    execute_job, ShardRouter, ShardRouterConfig, VolRouteError, VolRouter, VolRouterConfig,
+    ShardBackend, ShardRouter, ShardRouterConfig, VolRouteError, VolRouter, VolRouterConfig,
 };
 
 use crate::cache::{CacheStats, CachedDesign, DesignCache};
@@ -53,7 +72,9 @@ pub enum ExecMode {
     /// Run the diffusion on the worker thread itself.
     InProcess,
     /// Fan each job out across a shard fleet, selecting backends from
-    /// a health-checked registry per job.
+    /// a health-checked registry per job. The planar shard router cannot
+    /// carry a tier axis, so volumetric requests are rejected at
+    /// admission.
     Sharded {
         /// Requested shard count K.
         shards: usize,
@@ -90,9 +111,6 @@ pub struct CtlConfig {
     /// Deadline applied to requests that carry `deadline_ms: 0`.
     /// `0` means no deadline.
     pub default_deadline_ms: u32,
-    /// Readiness-wait granularity, milliseconds. This bounds how stale
-    /// the front-end's view of worker output can get, so keep it small.
-    pub wait_ms: i32,
     /// Admission contracts, one per tenant. Wire-v2 requests (which
     /// carry no tenant) are billed to the first tenant.
     pub tenants: Vec<TenantSpec>,
@@ -107,7 +125,6 @@ impl Default for CtlConfig {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             cache_bytes: 64 << 20,
             default_deadline_ms: 0,
-            wait_ms: 5,
             tenants: vec![TenantSpec::new("default", 1, 256)],
             exec: ExecMode::InProcess,
         }
@@ -143,23 +160,35 @@ const CTL_SPAN_CAPACITY: usize = 512;
 
 /// Per-site salts for deterministic span-id minting. Each traced hop
 /// seeds its own generator from the inherited span id; distinct salts
-/// keep the front-end's admission/cache spans, the worker's job spans
-/// and downstream hops on disjoint id streams.
+/// keep the front-end's admission/cache spans, the worker's job spans,
+/// the planar fallback's runner span and downstream hops on disjoint id
+/// streams.
 const CTL_ADMIT_SALT: u64 = 0xC7_1A_D0_17_AD_31_75_01;
 const CTL_CACHE_SALT: u64 = 0xC7_1C_AC_8E_5E_ED_02_02;
 const CTL_JOB_SALT: u64 = 0xC7_1E_4E_C5_EE_D0_03_03;
+const CTL_EXEC_SALT: u64 = 0xC7_1E_8E_C0_0F_A1_04_04;
+
+/// A frame for one connection, produced off the front-end thread.
+struct Outgoing {
+    conn: u64,
+    bytes: Vec<u8>,
+    /// The terminal reply of the connection's admitted job.
+    last: bool,
+}
 
 struct Shared {
     queue: FairQueue<Job>,
     cache: Mutex<DesignCache>,
-    /// Frames produced off the front-end thread, drained by it every
-    /// readiness wait: `(connection token, encoded frame bytes)`.
-    outbox: Mutex<Vec<(u64, Vec<u8>)>>,
+    /// Frames produced by workers, taken by the front-end after it
+    /// drains the waker.
+    outbox: Mutex<Vec<Outgoing>>,
+    /// Write end of the front-end's wake-up socket pair.
+    waker: UnixStream,
     metrics: CtlMetrics,
-    /// Shared span ring for traced requests: the front-end records
-    /// admission and cache spans into it, workers record queue-wait and
-    /// execution spans, and the worker drains a trace's spans into the
-    /// response when its job completes.
+    /// Shared span ring: the front-end records admission and cache
+    /// spans into it, workers record queue-wait and execution spans, and
+    /// the worker drains a trace's spans into the response when its job
+    /// completes.
     spans: SpanRecorder,
     exec: Exec,
     stop: AtomicBool,
@@ -167,21 +196,42 @@ struct Shared {
 }
 
 impl Shared {
-    fn send(&self, conn: u64, version: u16, kind: FrameKind, payload: &[u8]) {
-        let mut buf = Vec::with_capacity(11 + payload.len());
-        write_frame_versioned(&mut buf, version, kind, payload)
+    fn send(&self, conn: u64, version: u16, kind: FrameKind, payload: &[u8], last: bool) {
+        let mut bytes = Vec::with_capacity(11 + payload.len());
+        write_frame_versioned(&mut bytes, version, kind, payload)
             .expect("writing to a Vec cannot fail");
-        self.outbox.lock().unwrap().push((conn, buf));
+        let mut outbox = self.outbox.lock().unwrap();
+        let was_empty = outbox.is_empty();
+        outbox.push(Outgoing { conn, bytes, last });
+        drop(outbox);
+        // The front-end drains the waker before it takes the outbox, so
+        // one byte per push into an empty outbox cannot lose a wake-up.
+        if was_empty {
+            self.wake();
+        }
     }
 
-    fn send_error(&self, conn: u64, version: u16, err: &ErrorReply) {
-        self.send(conn, version, FrameKind::Error, &encode_error(err));
+    /// Wakes the front-end. A full socket buffer means a wake-up is
+    /// already pending, so a failed write is fine.
+    fn wake(&self) {
+        let _ = (&self.waker).write(&[1]);
+    }
+
+    fn stats(&self) -> StatsSnapshot {
+        self.metrics.stats_snapshot(self.queue.len() as u64)
+    }
+
+    /// Drops a trace's recorded spans when no reply will export them.
+    fn discard_trace(&self, trace: Option<TraceContext>) {
+        if let Some(ctx) = trace {
+            drop(self.spans.drain_trace(ctx.trace_id));
+        }
     }
 }
 
 /// A running control plane. Dropping it (or calling
-/// [`shutdown`](Self::shutdown)) stops admission, drains the queue and
-/// joins every thread.
+/// [`shutdown`](Self::shutdown)) stops admission, drains the queue,
+/// flushes every reply and joins every thread.
 pub struct CtlServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -205,12 +255,15 @@ impl CtlServer {
     ///
     /// # Errors
     ///
-    /// Returns bind errors.
+    /// Returns bind or socket-pair errors.
     pub fn start_with(cfg: CtlConfig, readiness: Box<dyn Readiness>) -> io::Result<Self> {
         assert!(!cfg.tenants.is_empty(), "at least one tenant required");
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let (waker, wake_rx) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
         let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.clone()).collect();
         let exec = match cfg.exec {
             ExecMode::InProcess => Exec::InProcess,
@@ -241,6 +294,7 @@ impl CtlServer {
             queue: FairQueue::new(&cfg.tenants),
             cache: Mutex::new(DesignCache::new(cfg.cache_bytes)),
             outbox: Mutex::new(Vec::new()),
+            waker,
             metrics,
             spans,
             exec,
@@ -258,10 +312,10 @@ impl CtlServer {
             .collect();
         let front = {
             let s = Arc::clone(&shared);
-            let (max_frame_len, wait_ms) = (cfg.max_frame_len, cfg.wait_ms.max(1));
+            let max_frame_len = cfg.max_frame_len;
             thread::Builder::new()
                 .name("ctl-front".into())
-                .spawn(move || front_loop(&s, &listener, readiness, max_frame_len, wait_ms))
+                .spawn(move || front_loop(&s, &listener, &wake_rx, readiness, max_frame_len))
                 .expect("spawn ctl front-end")
         };
         Ok(Self {
@@ -282,6 +336,18 @@ impl CtlServer {
         &self.shared.metrics
     }
 
+    /// The snapshot a `StatsRequest` frame is answered with.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.shared.stats()
+    }
+
+    /// The most recent spans still in the recorder (bounded ring;
+    /// newest last). A traced job's spans leave it with the reply that
+    /// exports them.
+    pub fn spans(&self) -> Vec<SpanRecord> {
+        self.shared.spans.records()
+    }
+
     /// Design-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.lock().unwrap().stats()
@@ -297,21 +363,32 @@ impl CtlServer {
         }
     }
 
-    /// Stops admission, drains in-flight work and joins all threads.
-    pub fn shutdown(self) {
-        drop(self);
+    /// Stops admission, runs every admitted job to its reply, flushes
+    /// the replies and joins all threads. Returns the final stats.
+    pub fn shutdown(mut self) -> StatsSnapshot {
+        self.shutdown_impl();
+        self.stats()
+    }
+
+    fn shutdown_impl(&mut self) {
+        self.shared.queue.close();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
+        // Every reply is in the outbox now; the front-end delivers them
+        // before it exits.
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.wake();
+        if let Some(h) = self.front.take() {
+            let _ = h.join();
+        }
     }
 }
 
 impl Drop for CtlServer {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.front.take() {
-            let _ = h.join();
+        if self.front.is_some() {
+            self.shutdown_impl();
         }
     }
 }
@@ -328,6 +405,11 @@ struct Conn {
     /// Codec version of the last frame this connection sent; every
     /// reply is stamped with it.
     version: u16,
+    /// A job from this connection is queued or running; later frames
+    /// wait until its reply is out.
+    busy: bool,
+    /// Registered with the readiness source (exactly when not busy).
+    polled: bool,
     /// Close once the outbound buffer drains (post-error courtesy).
     closing: bool,
     /// Close now (EOF or I/O error).
@@ -342,6 +424,8 @@ impl Conn {
             out: Vec::new(),
             out_pos: 0,
             version: dpm_serve::wire::VERSION,
+            busy: false,
+            polled: false,
             closing: false,
             dead: false,
         }
@@ -352,8 +436,16 @@ impl Conn {
             .expect("writing to a Vec cannot fail");
     }
 
+    fn push_error(&mut self, err: &ErrorReply) {
+        self.push_frame(FrameKind::Error, &encode_error(err));
+    }
+
+    fn has_output(&self) -> bool {
+        self.out_pos < self.out.len()
+    }
+
     fn flush(&mut self) {
-        while self.out_pos < self.out.len() {
+        while self.has_output() {
             match self.stream.write(&self.out[self.out_pos..]) {
                 Ok(0) => {
                     self.dead = true;
@@ -368,34 +460,70 @@ impl Conn {
                 }
             }
         }
-        if self.out_pos == self.out.len() && self.out_pos > 0 {
+        if !self.has_output() && self.out_pos > 0 {
             self.out.clear();
             self.out_pos = 0;
         }
     }
 
+    /// Shutdown's last chance to deliver buffered replies: a blocking
+    /// write, bounded so one stalled reader cannot hold up the rest.
+    fn finish(&mut self) {
+        if !self.has_output() || self.dead {
+            return;
+        }
+        if self.stream.set_nonblocking(false).is_ok()
+            && self
+                .stream
+                .set_write_timeout(Some(FINAL_FLUSH_TIMEOUT))
+                .is_ok()
+        {
+            let _ = self.stream.write_all(&self.out[self.out_pos..]);
+        }
+    }
+
     fn done(&self) -> bool {
-        self.dead || (self.closing && self.out_pos == self.out.len())
+        self.dead || (self.closing && !self.has_output())
     }
 }
 
 const LISTENER_TOKEN: u64 = 0;
+const WAKER_TOKEN: u64 = 1;
+
+/// How long shutdown waits on one connection to take its last replies.
+const FINAL_FLUSH_TIMEOUT: Duration = Duration::from_secs(1);
 
 fn front_loop(
     shared: &Shared,
     listener: &TcpListener,
+    wake_rx: &UnixStream,
     mut readiness: Box<dyn Readiness>,
     max_frame_len: usize,
-    wait_ms: i32,
 ) {
     let _ = readiness.register(LISTENER_TOKEN, listener.as_raw_fd());
+    let _ = readiness.register(WAKER_TOKEN, wake_rx.as_raw_fd());
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token: u64 = 1;
+    let mut next_token = WAKER_TOKEN + 1;
     let mut ready: Vec<u64> = Vec::new();
-    while !shared.stop.load(Ordering::Relaxed) {
-        if readiness.wait(wait_ms, &mut ready).is_err() {
+    loop {
+        // Sleep until a socket or a worker has something. Readiness
+        // reports readability only, so while a reply is stuck behind a
+        // full socket buffer the loop retries it on a short tick.
+        let timeout = if conns.values().any(Conn::has_output) {
+            1
+        } else {
+            -1
+        };
+        if readiness.wait(timeout, &mut ready).is_err() {
             ready.clear();
         }
+        if ready.contains(&WAKER_TOKEN) {
+            let mut buf = [0u8; 64];
+            while matches!((&*wake_rx).read(&mut buf), Ok(n) if n > 0) {}
+        }
+        // Read before taking the outbox: shutdown joins the workers
+        // before it sets the flag, so the outbox then holds every reply.
+        let stopping = shared.stop.load(Ordering::SeqCst);
         // Accept every pending connection. Checked unconditionally —
         // cheap when nothing is pending, and readiness back-ends that
         // coalesce events then cannot strand a connection.
@@ -403,44 +531,58 @@ fn front_loop(
             match listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+                    if stream.set_nonblocking(true).is_ok() {
+                        conns.insert(next_token, Conn::new(stream));
+                        next_token += 1;
                     }
-                    let token = next_token;
-                    next_token += 1;
-                    let _ = readiness.register(token, stream.as_raw_fd());
-                    conns.insert(token, Conn::new(stream));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
         }
-        for &token in ready.iter().filter(|&&t| t != LISTENER_TOKEN) {
-            if let Some(conn) = conns.get_mut(&token) {
+        for &token in &ready {
+            if let Some(conn) = conns.get_mut(&token).filter(|c| c.polled) {
                 service_conn(shared, token, conn, max_frame_len);
             }
         }
-        // Hand worker output to the owning connections.
+        // Hand worker output to the owning connections; a terminal
+        // reply frees the connection's next frame.
         let produced = std::mem::take(&mut *shared.outbox.lock().unwrap());
-        for (token, bytes) in produced {
-            if let Some(conn) = conns.get_mut(&token) {
-                conn.out.extend_from_slice(&bytes);
+        for Outgoing { conn, bytes, last } in produced {
+            if let Some(c) = conns.get_mut(&conn) {
+                c.out.extend_from_slice(&bytes);
+                if last {
+                    c.busy = false;
+                    dispatch_frames(shared, conn, c, max_frame_len);
+                }
             }
         }
         conns.retain(|&token, conn| {
             conn.flush();
             let keep = !conn.done();
-            if !keep {
-                let _ = readiness.deregister(token, conn.stream.as_raw_fd());
+            let poll = keep && !conn.busy;
+            if poll != conn.polled {
+                let fd = conn.stream.as_raw_fd();
+                let _ = if poll {
+                    readiness.register(token, fd)
+                } else {
+                    readiness.deregister(token, fd)
+                };
+                conn.polled = poll;
             }
             keep
         });
+        if stopping {
+            for conn in conns.values_mut() {
+                conn.finish();
+            }
+            return;
+        }
     }
 }
 
 /// Reads everything currently available on one connection and
-/// dispatches every complete frame.
+/// dispatches its complete frames.
 fn service_conn(shared: &Shared, token: u64, conn: &mut Conn, max_frame_len: usize) {
     let mut buf = [0u8; 16 * 1024];
     loop {
@@ -458,26 +600,21 @@ fn service_conn(shared: &Shared, token: u64, conn: &mut Conn, max_frame_len: usi
             }
         }
     }
-    loop {
+    dispatch_frames(shared, token, conn, max_frame_len);
+}
+
+/// Dispatches buffered frames in order until one admits a job (the rest
+/// wait for its reply) or none are complete.
+fn dispatch_frames(shared: &Shared, token: u64, conn: &mut Conn, max_frame_len: usize) {
+    while !conn.busy && !conn.closing {
         match conn.asm.next_frame(max_frame_len) {
             Ok(Some(frame)) => dispatch_frame(shared, token, conn, &frame),
             Ok(None) => break,
             Err(e) => {
                 // The stream cannot be re-synchronized after a framing
                 // error: answer once, then close.
-                shared.metrics.malformed.inc();
-                conn.push_frame(
-                    FrameKind::Error,
-                    &encode_error(&ErrorReply {
-                        id: 0,
-                        code: ErrorCode::Malformed,
-                        steps: 0,
-                        rounds: 0,
-                        message: e.to_string(),
-                    }),
-                );
+                malformed(shared, conn, 0, e.to_string());
                 conn.closing = true;
-                break;
             }
         }
     }
@@ -485,88 +622,54 @@ fn service_conn(shared: &Shared, token: u64, conn: &mut Conn, max_frame_len: usi
 
 fn dispatch_frame(shared: &Shared, token: u64, conn: &mut Conn, frame: &Frame) {
     conn.version = frame.version;
-    shared.metrics.received.inc();
     match frame.kind {
         FrameKind::StatsRequest => {
-            let snap = shared.metrics.stats_snapshot(shared.queue.len() as u64);
-            conn.push_frame(FrameKind::Stats, &encode_stats(&snap));
+            conn.push_frame(FrameKind::Stats, &encode_stats(&shared.stats()))
         }
         FrameKind::Request => match decode_request(&frame.payload) {
             Ok(req) => {
+                shared.metrics.received.inc();
                 // v2 requests carry no tenant; they are billed to the
                 // first configured tenant.
                 admit(shared, token, conn, 0, req);
             }
-            Err(e) => reject_decode(shared, conn, e),
+            Err(e) => malformed(shared, conn, 0, e.to_string()),
         },
         FrameKind::PutDesign => match decode_put_design(&frame.payload) {
             Ok(put) => handle_put_design(shared, conn, &put.tenant, put.id, &put.bytes),
-            Err(e) => reject_decode(shared, conn, e),
+            Err(e) => malformed(shared, conn, 0, e.to_string()),
         },
         FrameKind::DeltaRequest => match decode_delta_request(&frame.payload) {
-            Ok(dreq) => handle_delta(shared, token, conn, dreq),
-            Err(e) => reject_decode(shared, conn, e),
+            Ok(dreq) => {
+                shared.metrics.received.inc();
+                handle_delta(shared, token, conn, dreq);
+            }
+            Err(e) => malformed(shared, conn, 0, e.to_string()),
         },
-        _ => {
-            shared.metrics.malformed.inc();
-            conn.push_frame(
-                FrameKind::Error,
-                &encode_error(&ErrorReply {
-                    id: 0,
-                    code: ErrorCode::Malformed,
-                    steps: 0,
-                    rounds: 0,
-                    message: format!("{:?} is not a request frame", frame.kind),
-                }),
-            );
-        }
+        _ => malformed(
+            shared,
+            conn,
+            0,
+            format!("{:?} is not a request frame", frame.kind),
+        ),
     }
 }
 
-fn reject_decode(shared: &Shared, conn: &mut Conn, e: WireError) {
+fn malformed(shared: &Shared, conn: &mut Conn, id: u64, message: String) {
     shared.metrics.malformed.inc();
-    conn.push_frame(
-        FrameKind::Error,
-        &encode_error(&ErrorReply {
-            id: 0,
-            code: ErrorCode::Malformed,
-            steps: 0,
-            rounds: 0,
-            message: e.to_string(),
-        }),
-    );
-}
-
-fn reject(conn: &mut Conn, id: u64, code: ErrorCode, message: String) {
-    conn.push_frame(
-        FrameKind::Error,
-        &encode_error(&ErrorReply {
-            id,
-            code,
-            steps: 0,
-            rounds: 0,
-            message,
-        }),
-    );
+    conn.push_error(&rejection(id, ErrorCode::Malformed, message));
 }
 
 fn handle_put_design(shared: &Shared, conn: &mut Conn, tenant: &str, id: u64, bytes: &[u8]) {
     if shared.queue.tenant_index(tenant).is_none() {
-        shared.metrics.malformed.inc();
-        reject(
-            conn,
-            id,
-            ErrorCode::Malformed,
-            format!("unknown tenant {tenant:?}"),
-        );
+        malformed(shared, conn, id, format!("unknown tenant {tenant:?}"));
         return;
     }
     let hash = fnv1a64(bytes);
     let (netlist, die, placement) = match decode_design_bytes(bytes) {
         Ok(parts) => parts,
         Err(e) => {
-            shared.metrics.malformed.inc();
-            reject(conn, id, ErrorCode::Malformed, e.to_string());
+            malformed(shared, conn, id, e.to_string());
             return;
         }
     };
@@ -599,11 +702,10 @@ fn handle_put_design(shared: &Shared, conn: &mut Conn, tenant: &str, id: u64, by
 fn handle_delta(shared: &Shared, token: u64, conn: &mut Conn, dreq: dpm_serve::DeltaJobRequest) {
     shared.metrics.delta_requests.inc();
     let Some(tenant_idx) = shared.queue.tenant_index(&dreq.tenant) else {
-        shared.metrics.malformed.inc();
-        reject(
+        malformed(
+            shared,
             conn,
             dreq.id,
-            ErrorCode::Malformed,
             format!("unknown tenant {:?}", dreq.tenant),
         );
         return;
@@ -642,15 +744,35 @@ fn handle_delta(shared: &Shared, token: u64, conn: &mut Conn, dreq: dpm_serve::D
     match dreq.to_job_request(&design.netlist, &design.die, &design.placement) {
         Ok(req) => admit(shared, token, conn, tenant_idx, req),
         Err(e) => {
-            shared.metrics.malformed.inc();
-            reject(conn, dreq.id, ErrorCode::Malformed, e.to_string());
+            shared.discard_trace(dreq.trace);
+            malformed(shared, conn, dreq.id, e.to_string());
         }
     }
 }
 
+/// Checks a job once, before it can take a queue slot.
+fn admission_check(shared: &Shared, req: &JobRequest) -> Result<(), ErrorReply> {
+    job::validate(req)?;
+    if req.vol.is_some() && matches!(shared.exec, Exec::Sharded { .. }) {
+        return Err(rejection(
+            req.id,
+            ErrorCode::InvalidConfig,
+            "sharded execution runs planar jobs only",
+        ));
+    }
+    Ok(())
+}
+
 fn admit(shared: &Shared, token: u64, conn: &mut Conn, tenant_idx: usize, req: JobRequest) {
     let id = req.id;
-    let admit_start = req.trace.map(|_| shared.spans.now_ns());
+    let trace = req.trace;
+    if let Err(err) = admission_check(shared, &req) {
+        shared.metrics.invalid_config.inc();
+        shared.discard_trace(trace);
+        conn.push_error(&err);
+        return;
+    }
+    let admit_start = trace.map(|_| shared.spans.now_ns());
     let deadline_ms = if req.deadline_ms == 0 {
         shared.default_deadline_ms
     } else {
@@ -658,7 +780,6 @@ fn admit(shared: &Shared, token: u64, conn: &mut Conn, tenant_idx: usize, req: J
     };
     let deadline =
         (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
-    let trace = req.trace;
     let job = Job {
         conn: token,
         version: conn.version,
@@ -685,30 +806,26 @@ fn admit(shared: &Shared, token: u64, conn: &mut Conn, tenant_idx: usize, req: J
         .queue
         .try_push(shared.queue.tenant_name(tenant_idx), job);
     if outcome.is_err() {
-        // The job never ran, so nothing will drain this trace; drop its
-        // spans instead of letting them sit in the ring.
-        if let Some(ctx) = trace {
-            drop(shared.spans.drain_trace(ctx.trace_id));
-        }
+        // The job never ran, so nothing will drain this trace.
+        shared.discard_trace(trace);
     }
     match outcome {
-        Ok(()) => shared.metrics.admitted.inc(),
+        Ok(()) => {
+            shared.metrics.admitted.inc();
+            conn.busy = true;
+        }
         Err(AdmitError::QueueFull) => {
             shared.metrics.overloaded.inc();
-            reject(conn, id, ErrorCode::Overloaded, "tenant queue full".into());
+            conn.push_error(&rejection(id, ErrorCode::Overloaded, "tenant queue full"));
         }
-        Err(AdmitError::UnknownTenant) => {
-            shared.metrics.malformed.inc();
-            reject(conn, id, ErrorCode::Malformed, "unknown tenant".into());
-        }
+        Err(AdmitError::UnknownTenant) => malformed(shared, conn, id, "unknown tenant".into()),
         Err(AdmitError::Closed) => {
             shared.metrics.rejected_shutdown.inc();
-            reject(
-                conn,
+            conn.push_error(&rejection(
                 id,
                 ErrorCode::ShuttingDown,
-                "control plane is shutting down".into(),
-            );
+                "control plane is shutting down",
+            ));
         }
     }
 }
@@ -716,54 +833,6 @@ fn admit(shared: &Shared, token: u64, conn: &mut Conn, tenant_idx: usize, req: J
 // ---------------------------------------------------------------------------
 // Workers.
 // ---------------------------------------------------------------------------
-
-/// Streams progress frames into the outbox every `stride` steps.
-struct ProgressToOutbox<'a> {
-    shared: &'a Shared,
-    conn: u64,
-    version: u16,
-    id: u64,
-    stride: u64,
-    movement: f64,
-}
-
-impl DiffusionObserver for ProgressToOutbox<'_> {
-    fn on_step(&mut self, event: &StepEvent<'_>) {
-        if self.stride == 0 {
-            return;
-        }
-        self.movement += event.record.movement;
-        let completed = event.record.step as u64 + 1;
-        if completed.is_multiple_of(self.stride) {
-            let p = ProgressUpdate {
-                id: self.id,
-                step: completed,
-                round: event.round as u64,
-                overflow: event.record.computed_overflow,
-                movement: self.movement,
-                max_density: event.record.max_density,
-            };
-            self.shared.send(
-                self.conn,
-                self.version,
-                FrameKind::Progress,
-                &encode_progress(&p),
-            );
-            self.shared.metrics.progress_frames.inc();
-        }
-    }
-}
-
-fn movement_stats(before: &[Point], after: &[Point]) -> (f64, f64) {
-    let mut total = 0.0f64;
-    let mut max = 0.0f64;
-    for (b, a) in before.iter().zip(after) {
-        let d = ((a.x - b.x).powi(2) + (a.y - b.y).powi(2)).sqrt();
-        total += d;
-        max = max.max(d);
-    }
-    (total, max)
-}
 
 fn worker_loop(shared: &Shared) {
     while let Some((tenant_idx, job)) = shared.queue.pop_wait() {
@@ -776,13 +845,12 @@ fn worker_loop(shared: &Shared) {
             deadline,
             mut req,
         } = job;
-        let id = req.id;
         // Traced requests get a retroactive queue-wait span and an
-        // execution context; downstream hops (routers, in-process
-        // kernel bridges) inherit the execution context so their spans
-        // nest under `ctl.execute`, not directly under the root.
+        // execution context; downstream hops (routers, the runner's
+        // kernel bridge) inherit the execution context so their spans
+        // nest under it, not directly under the root.
         let root = req.trace;
-        let job_ctx = root.map(|ctx| {
+        req.trace = root.map(|ctx| {
             let mut ids = TraceIdGen::seeded(ctx.span_id ^ CTL_JOB_SALT);
             let now = shared.spans.now_ns();
             shared.spans.record_traced(
@@ -793,190 +861,140 @@ fn worker_loop(shared: &Shared) {
             );
             ids.child_of(&ctx)
         });
-        req.trace = job_ctx;
-        let outcome = if let Err(e) = req.config.validate() {
-            shared.metrics.invalid_config.inc();
-            Err(ErrorReply {
-                id,
-                code: ErrorCode::InvalidConfig,
-                steps: 0,
-                rounds: 0,
-                message: e.to_string(),
-            })
-        } else {
-            match &shared.exec {
-                Exec::InProcess => run_in_process(shared, conn, version, deadline, &req),
-                Exec::Sharded {
-                    shards,
-                    halo_bins,
-                    max_halo_rounds,
-                    registry,
-                } => run_sharded(
-                    shared,
-                    registry,
-                    *shards,
-                    *halo_bins,
-                    *max_halo_rounds,
-                    &req,
-                ),
-                Exec::Volumetric {
-                    slabs,
-                    halo_layers,
-                    registry,
-                } => {
-                    if req.vol.is_some() {
-                        run_volumetric(shared, registry, *slabs, *halo_layers, &req)
-                    } else {
-                        run_in_process(shared, conn, version, deadline, &req)
-                    }
-                }
-            }
-        };
-        shared.metrics.served.inc();
+        let outcome = execute(shared, conn, version, deadline, &mut req);
         let e2e = arrived.elapsed();
         shared.metrics.e2e_hist.record_duration(e2e);
         shared.metrics.tenant(tenant_idx).e2e.record_duration(e2e);
         match outcome {
-            Ok(mut resp) => {
+            Ok((mut resp, kernels)) => {
                 resp.queue_ns = queue_wait.as_nanos() as u64;
                 // Stitch the trace: the control plane's own spans
-                // (admission, cache, queue wait, execution) plus the
-                // tree a router or kernel bridge already put in
-                // `resp.spans`, normalized for the client to re-base.
+                // (admission, cache, queue wait, execution, the runner's
+                // job and kernel spans) plus the tree a router already
+                // put in `resp.spans`, normalized for the client to
+                // re-base.
                 if let Some(ctx) = root {
                     let mut spans = shared.spans.drain_trace(ctx.trace_id);
                     spans.append(&mut resp.spans);
                     normalize_spans(&mut spans);
                     resp.spans = spans;
                 }
+                shared.metrics.served.inc();
                 shared.metrics.service_hist.record(resp.service_ns);
+                shared.metrics.kernels.lock().unwrap().merge(&kernels);
                 shared.metrics.tenant(tenant_idx).jobs_ok.inc();
-                shared.send(conn, version, FrameKind::Response, &encode_response(&resp));
+                let payload = encode_response(&resp);
+                shared.send(conn, version, FrameKind::Response, &payload, true);
             }
             Err(err) => {
-                // Error replies carry no span export; drop the trace's
-                // spans so they cannot leak into a later drain.
-                if let Some(ctx) = root {
-                    drop(shared.spans.drain_trace(ctx.trace_id));
-                }
-                if err.code == ErrorCode::DeadlineExpired {
-                    shared.metrics.deadline_expired.inc();
+                // Error replies carry no span export.
+                shared.discard_trace(root);
+                match err.code {
+                    ErrorCode::DeadlineExpired => shared.metrics.deadline_expired.inc(),
+                    ErrorCode::Internal => shared.metrics.internal_errors.inc(),
+                    _ => {}
                 }
                 shared.metrics.tenant(tenant_idx).jobs_err.inc();
-                shared.send_error(conn, version, &err);
+                shared.send(conn, version, FrameKind::Error, &encode_error(&err), true);
             }
         }
     }
 }
 
-fn run_in_process(
+/// Runs one admitted job in the configured mode, returning the response
+/// and the kernel timings of any run the job runner made in this
+/// process (routed jobs are accounted by their backends). In process,
+/// the runner's `job.*` span is the execution span; routed modes wrap
+/// the execution in a `ctl.execute` span instead.
+fn execute(
     shared: &Shared,
     conn: u64,
     version: u16,
     deadline: Option<Instant>,
-    req: &JobRequest,
-) -> Result<JobResponse, ErrorReply> {
-    let mut placement = req.placement.clone();
-    let should_stop = move || deadline.is_some_and(|d| Instant::now() >= d);
-    let mut observer = ProgressToOutbox {
-        shared,
-        conn,
-        version,
-        id: req.id,
-        stride: u64::from(req.progress_stride),
-        movement: 0.0,
+    req: &mut JobRequest,
+) -> Result<(JobResponse, KernelTimers), ErrorReply> {
+    let mut progress = |p: ProgressUpdate| {
+        shared.metrics.progress_frames.inc();
+        shared.send(
+            conn,
+            version,
+            FrameKind::Progress,
+            &encode_progress(&p),
+            false,
+        );
     };
-    let t0 = Instant::now();
-    let exec_start = req.trace.map(|_| shared.spans.now_ns());
-    let result = match req.trace {
-        // Traced: thread a kernel-span bridge in front of the progress
-        // observer so per-kernel spans land in the front-end's recorder
-        // under the execution context.
-        Some(ctx) => {
-            let mut bridge =
-                SpanObserver::new(&shared.spans, ctx, ctx.span_id).with_inner(&mut observer);
-            execute_job(
-                req.kind,
-                &req.config,
-                &req.netlist,
-                &req.die,
-                &mut placement,
-                &should_stop,
-                &mut bridge,
-            )
-        }
-        None => execute_job(
-            req.kind,
-            &req.config,
-            &req.netlist,
-            &req.die,
-            &mut placement,
-            &should_stop,
-            &mut observer,
+    let exec_ctx = req.trace;
+    let exec_start = shared.spans.now_ns();
+    let outcome = match &shared.exec {
+        Exec::InProcess => return job::run(req, deadline, &shared.spans, &mut progress),
+        Exec::Sharded {
+            shards,
+            halo_bins,
+            max_halo_rounds,
+            registry,
+        } => run_sharded(
+            shared,
+            registry,
+            ShardRouterConfig {
+                shards: *shards,
+                halo_bins: *halo_bins,
+                max_halo_rounds: *max_halo_rounds,
+                encoding: dpm_serve::wire::PayloadEncoding::Binary,
+            },
+            req,
         ),
+        Exec::Volumetric {
+            slabs,
+            halo_layers,
+            registry,
+        } if req.vol.is_some() => run_volumetric(shared, registry, *slabs, *halo_layers, req),
+        Exec::Volumetric { .. } => {
+            // The planar fallback's runner span nests under `ctl.execute`.
+            req.trace =
+                exec_ctx.map(|ctx| TraceIdGen::seeded(ctx.span_id ^ CTL_EXEC_SALT).child_of(&ctx));
+            job::run(req, deadline, &shared.spans, &mut progress)
+        }
     };
-    let service_ns = t0.elapsed().as_nanos() as u64;
-    if let (Some(start), Some(ctx)) = (exec_start, req.trace) {
-        shared
-            .spans
-            .record_traced("ctl.execute", start, shared.spans.now_ns(), ctx);
-    }
-    if result.cancelled {
-        return Err(ErrorReply {
-            id: req.id,
-            code: ErrorCode::DeadlineExpired,
-            steps: result.steps as u64,
-            rounds: result.rounds as u64,
-            message: "deadline expired mid-run".into(),
-        });
-    }
-    let (total_movement, max_movement) =
-        movement_stats(req.placement.as_slice(), placement.as_slice());
-    Ok(JobResponse {
-        id: req.id,
-        converged: result.converged,
-        steps: result.steps as u64,
-        rounds: result.rounds as u64,
-        total_movement,
-        max_movement,
-        queue_ns: 0,
-        service_ns,
-        positions: placement.as_slice().to_vec(),
-        vol: None,
-        spans: Vec::new(),
+    let Some(ctx) = exec_ctx else {
+        return outcome;
+    };
+    shared
+        .spans
+        .record_traced("ctl.execute", exec_start, shared.spans.now_ns(), ctx);
+    outcome.map(|(mut resp, kernels)| {
+        // A router normalizes its span tree to start at zero; re-base it
+        // onto this front-end's clock so it interleaves correctly with
+        // the admission and queue spans drained in the worker.
+        rebase_spans(&mut resp.spans, exec_start);
+        (resp, kernels)
     })
+}
+
+/// The registry's backend selection for one job, counting any primary
+/// replacement it made.
+fn select_backends(
+    shared: &Shared,
+    registry: &Mutex<BackendRegistry>,
+) -> (Vec<ShardBackend>, Vec<ShardBackend>) {
+    let mut reg = registry.lock().unwrap();
+    let before = reg.snapshot().replacements;
+    let selected = reg.select();
+    shared
+        .metrics
+        .replacements
+        .add(reg.snapshot().replacements - before);
+    selected
 }
 
 fn run_sharded(
     shared: &Shared,
     registry: &Mutex<BackendRegistry>,
-    shards: usize,
-    halo_bins: usize,
-    max_halo_rounds: usize,
+    cfg: ShardRouterConfig,
     req: &JobRequest,
-) -> Result<JobResponse, ErrorReply> {
-    let (primaries, spares) = {
-        let mut reg = registry.lock().unwrap();
-        let before = reg.snapshot().replacements;
-        let selected = reg.select();
-        shared
-            .metrics
-            .replacements
-            .add(reg.snapshot().replacements - before);
-        selected
-    };
-    let router = ShardRouter::with_spares(
-        ShardRouterConfig {
-            shards,
-            halo_bins,
-            max_halo_rounds,
-            encoding: dpm_serve::wire::PayloadEncoding::Binary,
-        },
-        primaries,
-        spares,
-    );
+) -> Result<(JobResponse, KernelTimers), ErrorReply> {
+    let (primaries, spares) = select_backends(shared, registry);
+    let router = ShardRouter::with_spares(cfg, primaries, spares);
     let t0 = Instant::now();
-    let exec_start = req.trace.map(|_| shared.spans.now_ns());
     let reply = router.route(req);
     let service_ns = t0.elapsed().as_nanos() as u64;
     if !reply.failovers.is_empty() {
@@ -1002,16 +1020,7 @@ fn run_sharded(
     let mut resp = reply.response;
     resp.id = req.id;
     resp.service_ns = service_ns;
-    if let (Some(start), Some(ctx)) = (exec_start, req.trace) {
-        // The router normalized its span tree to start at zero; re-base
-        // it onto this front-end's clock so it interleaves correctly
-        // with the admission and queue spans drained in the worker.
-        shared
-            .spans
-            .record_traced("ctl.execute", start, shared.spans.now_ns(), ctx);
-        rebase_spans(&mut resp.spans, start);
-    }
-    Ok(resp)
+    Ok((resp, KernelTimers::default()))
 }
 
 fn run_volumetric(
@@ -1020,17 +1029,8 @@ fn run_volumetric(
     slabs: usize,
     halo_layers: usize,
     req: &JobRequest,
-) -> Result<JobResponse, ErrorReply> {
-    let (primaries, _spares) = {
-        let mut reg = registry.lock().unwrap();
-        let before = reg.snapshot().replacements;
-        let selected = reg.select();
-        shared
-            .metrics
-            .replacements
-            .add(reg.snapshot().replacements - before);
-        selected
-    };
+) -> Result<(JobResponse, KernelTimers), ErrorReply> {
+    let (primaries, _spares) = select_backends(shared, registry);
     let router = VolRouter::new(
         VolRouterConfig {
             slabs,
@@ -1040,7 +1040,6 @@ fn run_volumetric(
         primaries.clone(),
     );
     let t0 = Instant::now();
-    let exec_start = req.trace.map(|_| shared.spans.now_ns());
     let reply = router.route(req);
     let service_ns = t0.elapsed().as_nanos() as u64;
     let reply = match reply {
@@ -1062,23 +1061,11 @@ fn run_volumetric(
                 let backend = primaries[slab % primaries.len()];
                 registry.lock().unwrap().report_failure(backend);
             }
-            return Err(ErrorReply {
-                id: req.id,
-                code,
-                steps: 0,
-                rounds: 0,
-                message: err.to_string(),
-            });
+            return Err(rejection(req.id, code, err.to_string()));
         }
     };
     let mut resp = reply.response;
     resp.id = req.id;
     resp.service_ns = service_ns;
-    if let (Some(start), Some(ctx)) = (exec_start, req.trace) {
-        shared
-            .spans
-            .record_traced("ctl.execute", start, shared.spans.now_ns(), ctx);
-        rebase_spans(&mut resp.spans, start);
-    }
-    Ok(resp)
+    Ok((resp, KernelTimers::default()))
 }

@@ -1,11 +1,14 @@
-//! `dpm-ctl` — a multi-tenant control plane over `dpm-serve`.
+//! `dpm-ctl` — the migration server: a multi-tenant control plane over
+//! `dpm-serve`'s protocol, routers and job runner.
 //!
-//! The single [`Server`](dpm_serve::Server) answers one question: "run
-//! this diffusion migration". A physical-synthesis fleet asks harder
-//! ones: many tenants sharing one service, each replaying an ECO loop
-//! against an almost-unchanged design, over thousands of mostly-idle
-//! connections, against backends that sometimes die. This crate is
-//! that layer, built from four parts:
+//! A physical-synthesis fleet asks more of a migration service than
+//! "run this diffusion": many tenants sharing one service, each
+//! replaying an ECO loop against an almost-unchanged design, over
+//! thousands of mostly-idle connections, against backends that
+//! sometimes die. [`CtlServer`] is the one server for all of it — the
+//! client front door, and, single-tenant in
+//! [`ExecMode::InProcess`], the shard or slab backend another control
+//! plane routes to. It is built from four parts:
 //!
 //! - [`DesignCache`][]: baselines keyed by FNV-1a
 //!   content hash with deterministic byte-budget LRU eviction. A
@@ -20,16 +23,18 @@
 //! - [`Readiness`]/[`CtlServer`]:
 //!   a poll-based front-end multiplexing thousands of idle
 //!   connections on one thread (epoll on Linux, a deterministic
-//!   scanner in tests), with incremental frame assembly and
-//!   per-connection version echo for wire-v2 clients.
+//!   scanner in tests), with incremental frame assembly, in-order
+//!   replies per connection, workers that wake it the moment a reply
+//!   exists, a graceful drain on shutdown, and per-connection version
+//!   echo for wire-v2 clients. Admitted jobs run through
+//!   [`dpm_serve::job::run`].
 //! - [`BackendRegistry`][]: health-checked
 //!   primaries with warm spares; dead backends are replaced between
 //!   jobs, and the shard router's intra-job failovers feed back in.
 //!
 //! Everything is std-only, deterministic where it matters (cache
-//! eviction, fair-queue schedule), and speaks the same framed TCP
-//! protocol as `dpm-serve`, so [`ServeClient`](dpm_serve::ServeClient)
-//! works unchanged against a control plane.
+//! eviction, fair-queue schedule), and speaks `dpm-serve`'s framed TCP
+//! protocol, so [`ServeClient`](dpm_serve::ServeClient) is its client.
 
 pub mod cache;
 pub mod fair;

@@ -1,13 +1,14 @@
 //! Control-plane metrics: one `dpm-obs` registry, with per-tenant
 //! instruments named via [`labeled`].
 //!
-//! Global counters mirror the single-server
-//! [`StatsSnapshot`] so existing clients can
-//! ask a control plane for stats over the same wire frame; on top of
-//! those, the cache/delta/failover counters and the per-tenant
-//! `jobs_ok{tenant="…"}` / `e2e_ns{tenant="…"}` family only the
-//! control plane has.
+//! The global counters are the ones the wire-level [`StatsSnapshot`]
+//! reports, with the meanings its field docs give; on top of those, the
+//! cache/delta/failover counters and the per-tenant
+//! `jobs_ok{tenant="…"}` / `e2e_ns{tenant="…"}` family.
 
+use std::sync::Mutex;
+
+use dpm_diffusion::KernelTimers;
 use dpm_obs::{labeled, Counter, Histogram, HistogramSnapshot, Registry};
 use dpm_serve::wire::StatsSnapshot;
 
@@ -27,23 +28,25 @@ pub struct TenantMetrics {
 /// path never takes the registry lock.
 pub struct CtlMetrics {
     registry: Registry,
-    /// Frames read off connections (any kind).
+    /// Job request frames (full or delta) that decoded.
     pub received: Counter,
     /// Jobs admitted to the fair queue.
     pub admitted: Counter,
-    /// Jobs served to completion (ok or error reply).
+    /// Jobs answered with a successful response.
     pub served: Counter,
     /// Jobs rejected with a full tenant queue.
     pub overloaded: Counter,
     /// Frames or payloads that failed to decode, plus unknown tenants.
     pub malformed: Counter,
-    /// Jobs rejected for invalid diffusion parameters.
+    /// Jobs rejected at admission: invalid diffusion parameters, or a
+    /// volumetric extension the job or the execution mode cannot run.
     pub invalid_config: Counter,
     /// Jobs rejected during shutdown.
     pub rejected_shutdown: Counter,
-    /// Jobs whose deadline expired.
+    /// Jobs whose deadline expired (queued or mid-run).
     pub deadline_expired: Counter,
-    /// Worker-side failures converted to internal-error replies.
+    /// Jobs answered [`ErrorCode::Internal`](dpm_serve::ErrorCode):
+    /// runner panics, or routed jobs whose backends failed.
     pub internal_errors: Counter,
     /// Progress frames streamed to clients.
     pub progress_frames: Counter,
@@ -67,6 +70,9 @@ pub struct CtlMetrics {
     pub service_hist: Histogram,
     /// End-to-end latency, nanoseconds.
     pub e2e_hist: Histogram,
+    /// Kernel timings merged across the runs this process's job runner
+    /// completed (routed jobs are accounted by their backends).
+    pub kernels: Mutex<KernelTimers>,
     tenants: Vec<TenantMetrics>,
 }
 
@@ -106,6 +112,7 @@ impl CtlMetrics {
             queue_hist: registry.histogram("queue_ns", &bounds),
             service_hist: registry.histogram("service_ns", &bounds),
             e2e_hist: registry.histogram("e2e_ns", &bounds),
+            kernels: Mutex::new(KernelTimers::default()),
             tenants,
             registry,
         }
@@ -130,7 +137,7 @@ impl CtlMetrics {
     /// frame is answered with. Control-plane-only counters (cache,
     /// failover, per-tenant) are visible via
     /// [`registry`](Self::registry) instead — the wire snapshot keeps
-    /// the single-server shape so v2 clients can decode it.
+    /// its v2 shape so v2 clients can decode it.
     pub fn stats_snapshot(&self, queue_depth: u64) -> StatsSnapshot {
         StatsSnapshot {
             queue_depth,
@@ -147,7 +154,7 @@ impl CtlMetrics {
             queue_hist: self.queue_hist.snapshot(),
             service_hist: self.service_hist.snapshot(),
             e2e_hist: self.e2e_hist.snapshot(),
-            kernels: Default::default(),
+            kernels: *self.kernels.lock().unwrap(),
         }
     }
 

@@ -15,8 +15,8 @@ use dpm_serve::wire::{
     JobRequest, PayloadEncoding,
 };
 use dpm_serve::{
-    execute_job, DeltaJobRequest, DeltaReply, EcoDelta, Reply, ServeClient, ServeConfig, Server,
-    ShardBackend, ShardRouter, ShardRouterConfig,
+    execute_job, DeltaJobRequest, DeltaReply, EcoDelta, ErrorCode, Reply, ServeClient,
+    ShardBackend, ShardRouter, ShardRouterConfig, VolRequestExt,
 };
 
 use dpm_ctl::{BackendRegistry, CtlConfig, CtlServer, ExecMode, TenantSpec};
@@ -322,8 +322,8 @@ fn sharded_ctl_survives_dead_backend_via_registry_spare() {
     assert!(reference.outcomes.iter().all(|o| o.error.is_none()));
 
     // Control plane: one primary is dead; the warm spare is a real
-    // server. The registry's pre-job health probe must swap them.
-    let spare = Server::start("127.0.0.1:0", ServeConfig::default()).expect("spare starts");
+    // server (a second control plane). The registry's pre-job health probe must swap them.
+    let spare = CtlServer::start(CtlConfig::default()).expect("spare starts");
     let spare_addr = spare.local_addr();
     let registry = BackendRegistry::new(
         vec![ShardBackend::InProcess, ShardBackend::Tcp(dead_addr())],
@@ -361,6 +361,32 @@ fn sharded_ctl_survives_dead_backend_via_registry_spare() {
     assert_eq!(snap.primaries[1], ShardBackend::Tcp(spare_addr));
     assert!(snap.spares.is_empty(), "the spare was promoted");
     assert_eq!(ctl.metrics().replacements.get(), 1);
+
+    // The planar shard router cannot carry a tier axis: a volumetric
+    // request is refused at admission instead of running planar.
+    let mut vol_req = full_request(&eco, 6, JobKind::Global, &config);
+    vol_req.vol = Some(VolRequestExt {
+        nz: 2,
+        z0: 0,
+        global_nz: 2,
+        exact_steps: None,
+        z: vec![0.5; eco.netlist.num_cells()],
+        field: None,
+    });
+    let reply = client
+        .request(&vol_req, PayloadEncoding::Binary)
+        .expect("volumetric request");
+    let Reply::Rejected(err) = reply else {
+        panic!("sharded mode must reject a volumetric job: {reply:?}");
+    };
+    assert_eq!(err.code, ErrorCode::InvalidConfig);
+    assert_eq!(err.id, 6);
+    assert_eq!(ctl.metrics().invalid_config.get(), 1);
+    assert_eq!(
+        ctl.metrics().admitted.get(),
+        1,
+        "the rejected job never queued"
+    );
     ctl.shutdown();
     spare.shutdown();
 }

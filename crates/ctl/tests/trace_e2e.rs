@@ -3,15 +3,17 @@
 //! TCP `VolRouter`, and comes back with a single-trace span tree that
 //! covers admission, queue wait, both slab dispatches, the halo rounds,
 //! and the per-kernel work inside the remote engines — while the traced
-//! placement stays bit-identical to the untraced one.
+//! placement stays bit-identical to the untraced one. Smaller cases pin
+//! a single in-process control plane's exported tree and a traced K = 2
+//! shard route over TCP backends.
 
 use std::collections::{HashMap, HashSet};
 
 use dpm_diffusion::{DiffusionConfig, SolverKind, VolumetricDiffusion};
-use dpm_gen::{VolBenchmark, VolCircuitSpec};
-use dpm_obs::{SpanRecord, TraceExporter};
+use dpm_gen::{Benchmark, CircuitSpec, InflationSpec, VolBenchmark, VolCircuitSpec};
+use dpm_obs::{SpanRecord, TraceContext, TraceExporter};
 use dpm_serve::wire::{JobKind, JobRequest, PayloadEncoding, VolRequestExt};
-use dpm_serve::{Reply, ServeClient, ServeConfig, Server, ShardBackend};
+use dpm_serve::{Reply, ServeClient, ShardBackend, ShardRouter, ShardRouterConfig};
 
 use dpm_ctl::{BackendRegistry, CtlConfig, CtlServer, ExecMode, TenantSpec};
 
@@ -49,6 +51,45 @@ fn vol_request(bench: &VolBenchmark, id: u64) -> JobRequest {
     }
 }
 
+fn hot_bench(cells: usize, seed: u64) -> Benchmark {
+    let mut b = CircuitSpec::with_size("trace_e2e", cells, seed).generate();
+    b.inflate(&InflationSpec::centered(0.3, 0.25, seed ^ 0xD1E));
+    b
+}
+
+fn planar_request(bench: &Benchmark, id: u64) -> JobRequest {
+    JobRequest {
+        id,
+        deadline_ms: 0,
+        progress_stride: 0,
+        kind: JobKind::Local,
+        design: format!("trace_e2e_{id}"),
+        config: DiffusionConfig::default(),
+        netlist: bench.netlist.clone(),
+        die: bench.die.clone(),
+        placement: bench.placement.clone(),
+        vol: None,
+        trace: None,
+    }
+}
+
+/// Asserts the records form one tree: unique nonzero span ids, every
+/// parent link landing on another record or on `graft`, all sharing
+/// `trace_id`.
+fn assert_tree(spans: &[SpanRecord], trace_id: u64, graft: u64) {
+    let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
+    assert_eq!(ids.len(), spans.len(), "span ids must be unique");
+    for s in spans {
+        assert_eq!(s.trace_id, trace_id, "foreign trace id: {s:?}");
+        assert_ne!(s.span_id, 0);
+        assert!(s.end_ns >= s.start_ns, "inverted interval: {s:?}");
+        assert!(
+            s.parent_id == graft || ids.contains(&s.parent_id),
+            "dangling parent link: {s:?}"
+        );
+    }
+}
+
 /// Count of spans whose name matches `pred`.
 fn count(spans: &[SpanRecord], pred: impl Fn(&str) -> bool) -> usize {
     spans.iter().filter(|s| pred(&s.name)).count()
@@ -69,8 +110,8 @@ fn traced_volumetric_job_builds_one_cross_process_span_tree() {
 
     // Fleet: a control plane fronting two real TCP backends, one z-slab
     // each.
-    let backend_a = Server::start("127.0.0.1:0", ServeConfig::default()).expect("backend a");
-    let backend_b = Server::start("127.0.0.1:0", ServeConfig::default()).expect("backend b");
+    let backend_a = CtlServer::start(CtlConfig::default()).expect("backend a");
+    let backend_b = CtlServer::start(CtlConfig::default()).expect("backend b");
     let registry = BackendRegistry::new(
         vec![
             ShardBackend::Tcp(backend_a.local_addr()),
@@ -288,4 +329,102 @@ fn traced_planar_job_falls_back_in_process_with_kernel_spans() {
     // No router ran, so no dispatch or halo spans.
     assert_eq!(by_name.get("shard.dispatch"), None);
     assert_eq!(by_name.get("halo.round"), None);
+}
+
+#[test]
+fn traced_server_job_exports_spans_and_changes_nothing() {
+    let bench = hot_bench(160, 51);
+    let server = CtlServer::start(CtlConfig::default()).expect("server starts");
+
+    let mut plain_client = ServeClient::connect(server.local_addr()).expect("connect");
+    let Reply::Ok(plain) = plain_client
+        .request(&planar_request(&bench, 1), PayloadEncoding::Binary)
+        .expect("untraced request")
+    else {
+        panic!("untraced job rejected");
+    };
+    assert!(plain.spans.is_empty(), "untraced reply must carry no spans");
+
+    let mut client = ServeClient::connect(server.local_addr())
+        .expect("connect")
+        .with_tracing(0xBEEF);
+    let mut req = planar_request(&bench, 2);
+    let root_ctx = client.begin_trace(&mut req).expect("tracing armed");
+    let Reply::Ok(traced) = client
+        .request(&req, PayloadEncoding::Binary)
+        .expect("traced request")
+    else {
+        panic!("traced job rejected");
+    };
+    assert_eq!(
+        traced.positions, plain.positions,
+        "tracing must not perturb the placement"
+    );
+
+    let spans = client.take_trace_spans();
+    assert!(!spans.is_empty());
+    assert_tree(&spans, root_ctx.trace_id, 0);
+    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+    assert!(names.contains(&"client.request"), "{names:?}");
+    assert!(names.contains(&"queue.wait"), "{names:?}");
+    assert!(names.contains(&"job.local"), "{names:?}");
+    assert!(names.iter().any(|n| n.starts_with("kernel.")), "{names:?}");
+
+    // The export *drained* the trace: the server's ring no longer holds
+    // any span of it, so a later stats scrape cannot double-report.
+    assert!(
+        server
+            .spans()
+            .iter()
+            .all(|s| s.trace_id != root_ctx.trace_id),
+        "drained spans must leave the server ring"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn traced_k2_tcp_shard_route_stitches_remote_spans() {
+    let bench = hot_bench(170, 57);
+    let server_a = CtlServer::start(CtlConfig::default()).expect("server a");
+    let server_b = CtlServer::start(CtlConfig::default()).expect("server b");
+    let router = ShardRouter::new(
+        ShardRouterConfig {
+            shards: 2,
+            ..ShardRouterConfig::default()
+        },
+        vec![
+            ShardBackend::Tcp(server_a.local_addr()),
+            ShardBackend::Tcp(server_b.local_addr()),
+        ],
+    );
+
+    let untraced = router.route(&planar_request(&bench, 4));
+    assert!(untraced.outcomes.iter().all(|o| o.error.is_none()));
+
+    let mut traced_req = planar_request(&bench, 4);
+    let ctx = TraceContext {
+        trace_id: 0xD15_7A7C,
+        span_id: 0x40_07,
+        parent_id: 0,
+    };
+    traced_req.trace = Some(ctx);
+    let traced = router.route(&traced_req);
+    server_a.shutdown();
+    server_b.shutdown();
+
+    assert_eq!(
+        traced.response.positions, untraced.response.positions,
+        "tracing must not perturb a sharded TCP run"
+    );
+
+    let spans = &traced.response.spans;
+    assert_tree(spans, ctx.trace_id, ctx.span_id);
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    assert!(count("shard.dispatch") >= 2, "one dispatch per shard");
+    assert!(count("halo.round") >= 1);
+    // The remote engines' own spans came back over the wire and were
+    // stitched into the same tree.
+    assert!(count("job.local") >= 2, "both backends contribute");
+    assert!(count("queue.wait") >= 2);
+    assert!(spans.iter().any(|s| s.name.starts_with("kernel.")));
 }

@@ -2,8 +2,7 @@
 //!
 //! One [`ServeClient`] wraps one TCP connection; requests on it are
 //! serialized (send a frame, read the reply frame). Use one client per
-//! thread for concurrency — the server handles each connection on its
-//! own thread.
+//! thread for concurrency.
 //!
 //! Requests with `progress_stride > 0` stream [`ProgressUpdate`] frames
 //! before the terminal reply. [`request`](ServeClient::request) silently
@@ -68,7 +67,8 @@ struct Tracing {
     harvested: Vec<SpanRecord>,
 }
 
-/// A blocking connection to a [`Server`](crate::Server).
+/// A blocking connection to a migration server (a `dpm-ctl` control
+/// plane, or anything else speaking the [`wire`](crate::wire) protocol).
 pub struct ServeClient {
     stream: TcpStream,
     max_frame_len: usize,
@@ -305,8 +305,7 @@ impl ServeClient {
     ///
     /// Returns a [`WireError`] if the connection fails, a frame is
     /// corrupt, or the server answers with something other than a
-    /// design ack (a plain `dpm-serve` [`Server`](crate::Server) does
-    /// not speak v3 — use the `dpm-ctl` control plane).
+    /// design ack.
     pub fn put_design(
         &mut self,
         id: u64,

@@ -327,7 +327,7 @@ pub struct DeltaJobRequest {
     pub progress_stride: u32,
     /// Which algorithm to run.
     pub kind: JobKind,
-    /// Free-form design name for the request log.
+    /// Free-form design name; routers derive sub-job names from it.
     pub design: String,
     /// Tenant this request is admitted and accounted under.
     pub tenant: String,

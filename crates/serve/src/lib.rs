@@ -1,25 +1,24 @@
-//! Migration-as-a-service: run diffusion-based placement migration over
-//! a socket.
+//! Migration-as-a-service: the protocol, client, routers and job runner
+//! for running diffusion-based placement migration over a socket.
 //!
-//! `dpm-serve` wraps the `dpm-diffusion` engines in a small, std-only
-//! TCP service speaking a length-prefixed, versioned binary protocol
-//! ([`wire`]). The server is built around explicit capacity limits:
+//! `dpm-serve` is everything about a migration job that is not a server
+//! loop. The server itself — admission, fair queueing, the design cache
+//! and the connection front-end — is the `dpm-ctl` control plane, which
+//! serves every role from one event loop: the client front door, and a
+//! single-tenant shard or slab backend. This crate provides
 //!
-//! - a **bounded admission queue** ([`queue::BoundedQueue`]) — when it
-//!   is full the client gets an [`ErrorCode::Overloaded`] reply at once
-//!   instead of unbounded buffering;
-//! - **per-request deadlines** measured from admission (queue wait
-//!   counts), enforced *inside* the diffusion loops via the engines'
-//!   cancellation hooks — an expired job answers
-//!   [`ErrorCode::DeadlineExpired`] with its partial step/round counts;
-//! - a **fixed worker pool** running the actual jobs;
-//! - **structured JSONL request logs** ([`log::RequestLog`]);
-//! - **streaming observability**: requests can ask for periodic
-//!   [`ProgressUpdate`] frames while diffusion runs, and any client can
-//!   fetch a [`StatsSnapshot`] (counters, latency histograms, merged
-//!   kernel timings) — both built on the `dpm-obs` metrics registry;
-//! - **graceful shutdown**: stop accepting, drain every admitted job,
-//!   join all threads;
+//! - the **wire protocol** ([`wire`]): a length-prefixed, versioned
+//!   binary framing for requests, responses, typed errors, streamed
+//!   [`ProgressUpdate`]s and [`StatsSnapshot`]s, plus ECO deltas against
+//!   a cached baseline ([`delta`]);
+//! - a blocking **client** ([`ServeClient`]) with pipelining, progress
+//!   streaming and wire-propagated tracing;
+//! - the **job runner** ([`job`]): one job on the calling thread —
+//!   planar or volumetric dispatch, per-request deadlines enforced
+//!   *inside* the diffusion loops through the engines' cancellation
+//!   hooks (an expired job answers [`ErrorCode::DeadlineExpired`] with
+//!   its partial step/round counts), progress and span observers, and
+//!   engine panics answered as [`ErrorCode::Internal`];
 //! - **horizontal sharding** ([`shard`]): a [`ShardRouter`] partitions
 //!   one job's die into K bin-aligned regions with density halos, fans
 //!   the sub-problems out to in-process or TCP backends, and stitches
@@ -37,61 +36,50 @@
 //!   as 2D jobs.
 //!
 //! Determinism survives the wire: `f64` values travel as IEEE-754 bit
-//! patterns, so a round trip through the server produces placements
+//! patterns, so a round trip through a server produces placements
 //! bit-identical to calling the engines in-process. Progress streaming
 //! is observation-only — a request with `progress_stride: 0` and the
 //! same request streamed every step produce bit-identical placements.
 //!
-//! ```no_run
-//! use dpm_serve::{Server, ServeClient, ServeConfig};
-//! use dpm_serve::wire::{JobKind, JobRequest, PayloadEncoding, Reply};
-//! # fn demo(netlist: dpm_netlist::Netlist, die: dpm_place::Die,
-//! #         placement: dpm_place::Placement) -> std::io::Result<()> {
-//! let server = Server::start("127.0.0.1:0", ServeConfig::default())?;
-//! let mut client = ServeClient::connect(server.local_addr())?;
+//! ```
+//! use dpm_serve::job;
+//! use dpm_serve::wire::{JobKind, JobRequest};
+//!
+//! let bench = dpm_gen::CircuitSpec::with_size("doc", 60, 1).generate();
 //! let req = JobRequest {
 //!     id: 1,
 //!     deadline_ms: 0,
 //!     progress_stride: 8, // a ProgressUpdate every 8 diffusion steps
 //!     kind: JobKind::Local,
-//!     design: "cpu_core".into(),
+//!     design: "doc".into(),
 //!     config: dpm_diffusion::DiffusionConfig::default(),
-//!     netlist,
-//!     die,
-//!     placement,
+//!     netlist: bench.netlist,
+//!     die: bench.die,
+//!     placement: bench.placement,
 //!     vol: None,   // planar job; Some(VolRequestExt) runs a 3D stack
 //!     trace: None, // Some(TraceContext) joins a distributed trace
 //! };
-//! let reply = client.request_streaming(&req, PayloadEncoding::Binary, |p| {
-//!     eprintln!("step {}: max density {:.3}", p.step, p.max_density);
-//! });
-//! match reply {
-//!     Ok(Reply::Ok(resp)) => println!("{} steps", resp.steps),
-//!     Ok(Reply::Rejected(e)) => eprintln!("rejected: {}", e.message),
-//!     Err(e) => eprintln!("transport: {e}"),
-//! }
-//! let stats = client.stats().expect("stats frame");
-//! println!("served {} jobs; p99 e2e {} ns",
-//!          stats.served, stats.e2e_hist.percentile(0.99));
-//! server.shutdown();
-//! # Ok(())
-//! # }
+//! job::validate(&req).expect("valid request");
+//! let spans = dpm_obs::SpanRecorder::new(16);
+//! let mut updates = 0;
+//! let (resp, _kernels) = job::run(&req, None, &spans, &mut |_| updates += 1)
+//!     .expect("no deadline, no panic");
+//! assert_eq!(resp.positions.len(), req.netlist.num_cells());
+//! assert!(updates <= resp.steps);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod delta;
-pub mod log;
-pub mod queue;
-pub mod server;
+pub mod job;
 pub mod shard;
 pub mod wire;
 pub mod zslab;
 
 pub use client::{DeltaReply, ServeClient};
 pub use delta::{CellMove, CellResize, DeltaError, DeltaJobRequest, EcoDelta, NewCell};
-pub use server::{execute_job, ServeConfig, ServeStats, Server};
+pub use job::execute_job;
 pub use shard::{
     ShardBackend, ShardFailover, ShardOutcome, ShardReply, ShardRouter, ShardRouterConfig,
 };

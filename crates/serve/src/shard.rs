@@ -3,8 +3,8 @@
 //! A [`ShardRouter`] takes a normal [`JobRequest`], partitions its die
 //! into K bin-aligned shard regions with H-bin density halos
 //! ([`ShardPartition`]), and fans each shard's sub-problem out to a
-//! backend — either an in-process diffusion run or a remote
-//! [`Server`](crate::Server) reached over TCP through
+//! backend — either an in-process diffusion run or a remote server
+//! (a `dpm-ctl` control plane) reached over TCP through
 //! [`ServeClient`]. Between shard-local diffusion passes it runs
 //! bounded **halo-exchange rounds**: after every fan-out the owned-cell
 //! results are stitched into the global placement, ownership and halos
@@ -43,10 +43,7 @@ use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use dpm_diffusion::{
-    stitch_positions, DiffusionResult, GlobalDiffusion, KernelTimers, LocalDiffusion,
-    ShardPartition, ShardProblem,
-};
+use dpm_diffusion::{stitch_positions, KernelTimers, NoopObserver, ShardPartition, ShardProblem};
 use dpm_geom::{Point, Rect};
 use dpm_obs::{
     normalize_spans, rebase_spans, Histogram, HistogramSnapshot, SpanRecord, SpanRecorder,
@@ -54,7 +51,8 @@ use dpm_obs::{
 };
 use dpm_place::{DensityMap, MovementStats, Placement};
 
-use crate::wire::{JobKind, JobRequest, JobResponse, PayloadEncoding, Reply};
+use crate::job::execute_job;
+use crate::wire::{JobRequest, JobResponse, PayloadEncoding, Reply};
 use crate::ServeClient;
 
 /// Salt mixed into the inherited span id when seeding the router's
@@ -72,8 +70,8 @@ pub enum ShardBackend {
     /// Run the diffusion engine on a thread inside the router's
     /// process.
     InProcess,
-    /// Send the sub-problem to a [`Server`](crate::Server) at this
-    /// address through a [`ServeClient`].
+    /// Send the sub-problem to the server at this address through a
+    /// [`ServeClient`].
     Tcp(SocketAddr),
 }
 
@@ -143,8 +141,8 @@ pub struct ShardFailover {
 /// Everything the router learned from one routed job.
 #[derive(Debug, Clone)]
 pub struct ShardReply {
-    /// Aggregated response in the same shape a single
-    /// [`Server`](crate::Server) would produce: final positions for
+    /// Aggregated response in the same shape a direct
+    /// [`job::run`](crate::job::run) would produce: final positions for
     /// every cell, summed steps/rounds, movement stats against the
     /// input placement.
     pub response: JobResponse,
@@ -591,18 +589,15 @@ fn run_shard_inner(
         ShardBackend::InProcess => {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut placement = problem.placement.clone();
-                let result: DiffusionResult = match req.kind {
-                    JobKind::Global => GlobalDiffusion::new(req.config.clone()).run(
-                        &problem.netlist,
-                        &problem.die,
-                        &mut placement,
-                    ),
-                    JobKind::Local => LocalDiffusion::new(req.config.clone()).run(
-                        &problem.netlist,
-                        &problem.die,
-                        &mut placement,
-                    ),
-                };
+                let result = execute_job(
+                    req.kind,
+                    &req.config,
+                    &problem.netlist,
+                    &problem.die,
+                    &mut placement,
+                    &|| false,
+                    &mut NoopObserver,
+                );
                 (placement, result)
             }));
             let service_ns = started.elapsed().as_nanos() as u64;

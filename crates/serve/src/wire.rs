@@ -544,8 +544,7 @@ pub struct JobRequest {
     pub progress_stride: u32,
     /// Which algorithm to run.
     pub kind: JobKind,
-    /// Free-form design name, echoed into the server's request log.
-    /// Logged names are JSON-escaped server-side, so any string is safe.
+    /// Free-form design name; routers derive sub-job names from it.
     pub design: String,
     /// Diffusion parameters. Validated server-side with
     /// [`DiffusionConfig::validate`]; invalid configs are rejected with
@@ -1524,7 +1523,7 @@ impl ErrorCode {
         }
     }
 
-    /// Stable lower-snake name used in the JSONL request log.
+    /// Stable lower-snake name, for logs and error messages.
     pub fn as_str(self) -> &'static str {
         match self {
             ErrorCode::Overloaded => "overloaded",

@@ -1,15 +1,15 @@
 //! End-to-end tests for the volumetric z-slab routing path: K = 1 and
-//! K = 2 bit-identicality with the direct 3D engine (in-process and
-//! through the wire), the maximum principle across stitched rounds,
-//! awkward partitions (halos thicker than a slab, K not dividing the
-//! stack), through-stack macros, and the router's exactness refusals.
+//! K = 2 bit-identicality with the direct 3D engine, the maximum
+//! principle across stitched rounds, awkward partitions (halos thicker
+//! than a slab, K not dividing the stack), through-stack macros, and the
+//! router's exactness refusals. Slabs over live TCP backends are tested
+//! in `dpm-ctl`, which provides the server.
 
 use dpm_diffusion::{DiffusionConfig, SolverKind, VolPlacement, VolumetricDiffusion};
 use dpm_gen::{VolBenchmark, VolCircuitSpec};
 use dpm_serve::shard::ShardBackend;
-use dpm_serve::wire::{JobKind, JobRequest, PayloadEncoding, Reply, VolRequestExt};
+use dpm_serve::wire::{JobKind, JobRequest, VolRequestExt};
 use dpm_serve::zslab::{VolRouteError, VolRouter, VolRouterConfig};
-use dpm_serve::{ServeClient, ServeConfig, Server};
 
 /// A 3-tier stack with an overfull middle tier — the canonical 3D-IC
 /// migration workload.
@@ -133,51 +133,6 @@ fn k2_in_process_is_bit_identical_to_k1() {
     );
     assert_monotone(&k2.max_density_trace);
     assert_eq!(k1.max_density_trace, k2.max_density_trace);
-}
-
-#[test]
-fn k2_over_tcp_is_bit_identical_to_k1_and_preserves_the_maximum_principle() {
-    let bench = hot_stack(79);
-    let req = request(&bench, 3);
-
-    let k1 = VolRouter::in_process(VolRouterConfig {
-        slabs: 1,
-        ..VolRouterConfig::default()
-    })
-    .route(&req)
-    .expect("K=1 routes");
-
-    let server_a = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server a");
-    let server_b = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server b");
-    let router = VolRouter::new(
-        VolRouterConfig {
-            slabs: 2,
-            ..VolRouterConfig::default()
-        },
-        vec![
-            ShardBackend::Tcp(server_a.local_addr()),
-            ShardBackend::Tcp(server_b.local_addr()),
-        ],
-    );
-    let reply = router.route(&req).expect("K=2 routes over TCP");
-    server_a.shutdown();
-    server_b.shutdown();
-
-    assert_eq!(reply.slabs, 2);
-    assert!(reply.response.converged);
-    assert_eq!(
-        reply.response.positions, k1.response.positions,
-        "f64s travel as bit patterns, so TCP slabs must match K=1 exactly"
-    );
-    assert_eq!(
-        reply.response.vol.as_ref().expect("vol").z,
-        k1.response.vol.as_ref().expect("vol").z
-    );
-    assert_eq!(
-        reply.response.vol.as_ref().expect("vol").field,
-        k1.response.vol.as_ref().expect("vol").field
-    );
-    assert_monotone(&reply.max_density_trace);
 }
 
 #[test]
@@ -320,65 +275,5 @@ fn dead_slab_backend_fails_the_whole_job() {
             assert!(message.contains("connect"), "unexpected error: {message}");
         }
         other => panic!("expected a backend failure, got {other:?}"),
-    }
-}
-
-#[test]
-fn volumetric_job_over_tcp_runs_directly_and_omits_the_field() {
-    // A client can skip the router and send a full-stack job straight to
-    // a server. The reply carries the migrated depths; the evolved field
-    // ships back only when the request shipped one in (the router's
-    // sub-job shape), so plain clients don't pay for it.
-    let bench = hot_stack(103);
-    let req = request(&bench, 12);
-
-    let (direct, steps) = direct_run(&bench);
-
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
-    let mut client = ServeClient::connect(server.local_addr()).expect("connects");
-    let reply = client
-        .request(&req, PayloadEncoding::Binary)
-        .expect("transport");
-    server.shutdown();
-
-    let resp = match reply {
-        Reply::Ok(resp) => resp,
-        Reply::Rejected(e) => panic!("rejected: {} {}", e.code.as_str(), e.message),
-    };
-    assert!(resp.converged);
-    assert_eq!(resp.steps, steps);
-    assert_eq!(
-        resp.positions,
-        direct.xy.as_slice().to_vec(),
-        "a wire round trip must not perturb the volumetric run"
-    );
-    let ext = resp.vol.expect("volumetric reply carries the extension");
-    assert_eq!(ext.z, direct.z);
-    assert!(ext.field.is_none(), "field not requested, must not ship");
-}
-
-#[test]
-fn local_job_with_vol_extension_is_rejected_by_the_server() {
-    let bench = hot_stack(107);
-    let mut req = request(&bench, 13);
-    req.kind = JobKind::Local;
-
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
-    let mut client = ServeClient::connect(server.local_addr()).expect("connects");
-    let reply = client
-        .request(&req, PayloadEncoding::Binary)
-        .expect("transport");
-    server.shutdown();
-
-    match reply {
-        Reply::Rejected(e) => {
-            assert_eq!(e.code, dpm_serve::ErrorCode::InvalidConfig);
-            assert!(
-                e.message.contains("global"),
-                "unexpected message: {}",
-                e.message
-            );
-        }
-        Reply::Ok(_) => panic!("a Local job with a vol extension must be rejected"),
     }
 }

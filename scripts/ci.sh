@@ -145,10 +145,11 @@ floor_check splat 600000
 floor_check advect 600000
 
 gate "service smoke test (perf_serve --smoke --pipeline 2)"
-# Boots a real server on an ephemeral port, replays a deterministic
-# open-loop schedule with two requests pipelined per connection, and
-# asserts every request was answered and the shutdown drained cleanly
-# (the binary exits non-zero otherwise). The schedule includes streamed
+# Boots a single-tenant dpm-ctl CtlServer (jobs run in process through
+# the dpm-serve job runner) on an ephemeral port, replays a
+# deterministic open-loop schedule with two requests pipelined per
+# connection, and asserts every request was answered and the shutdown
+# drained cleanly (the binary exits non-zero otherwise). The schedule includes streamed
 # requests, so at least one in-flight progress frame must arrive before
 # its response, and the wire-level stats snapshot must agree with the
 # server's own counters — both enforced inside the binary; the greps
@@ -163,7 +164,8 @@ grep -Eq '"progress_frames": [1-9][0-9]*' "$smoke_out"
 
 gate "control-plane smoke test (perf_serve --smoke --tenants 2)"
 # Boots the dpm-ctl control plane in sharded mode over a backend
-# registry seeded with one dead primary and a warm spare, opens 1000
+# registry seeded with one dead primary and a warm spare (the live
+# backends are single-tenant CtlServers), opens 1000
 # idle connections through the poll-based front-end, and replays two
 # tenants' ECO loops: one NeedDesign upload each, then delta-only
 # requests with a cold full resend mixed in. The binary asserts every
@@ -271,8 +273,8 @@ if [[ -f BENCH_kernels.json ]] && git cat-file -e "HEAD:BENCH_kernels.json" 2>/d
 fi
 
 gate "shard smoke test (perf_shard --smoke)"
-# Boots a 2-shard router over two TCP servers on ephemeral ports and
-# replays one streamed request. The binary asserts the maximum-principle
+# Boots a 2-shard router over two single-tenant CtlServer backends on
+# ephemeral ports and replays one streamed request. The binary asserts the maximum-principle
 # trace, error-free shards, and nonzero progress frames; the greps pin
 # the shard telemetry into the emitted JSON.
 shard_out="$(mktemp_tracked)"

@@ -25,13 +25,13 @@
 //! - [`par`] — deterministic fixed-chunk worker pool behind every
 //!   parallel kernel (bit-identical results at any thread count)
 //! - [`rng`] — the tiny SplitMix64 generator used by [`gen`] and tests
-//! - [`serve`] — migration-as-a-service: a framed TCP server with a
-//!   bounded queue, per-request deadlines, streaming progress frames
-//!   and JSONL request logs
-//! - [`ctl`] — multi-tenant control plane over [`serve`]: content-hash
-//!   design cache with ECO-delta streaming, poll-based connection
-//!   front-end, deficit-round-robin tenant fairness, health-checked
-//!   backend registry with warm spares
+//! - [`serve`] — migration-as-a-service: the framed wire protocol,
+//!   client, job runner (per-request deadlines, streaming progress
+//!   frames) and shard/slab routers
+//! - [`ctl`] — the server: a multi-tenant control plane over [`serve`]
+//!   with a content-hash design cache and ECO-delta streaming,
+//!   poll-based connection front-end, deficit-round-robin tenant
+//!   fairness, health-checked backend registry with warm spares
 //! - [`obs`] — std-only observability: atomic metrics registry,
 //!   fixed-bucket histograms with deterministic merge, bounded span
 //!   recorder
