@@ -968,6 +968,14 @@ impl DiffusionEngine {
         Vector::new(self.vel[0][i], self.vel[1][i])
     }
 
+    /// The plane-major x and y velocity buffers of the latest
+    /// [`compute_velocities`](Self::compute_velocities) call, read
+    /// directly by the advect pass.
+    #[inline]
+    pub(crate) fn velocity_xy(&self) -> (&[f64], &[f64]) {
+        (&self.vel[0], &self.vel[1])
+    }
+
     /// The per-axis velocity of bin `(j, k, z)` on a volumetric grid.
     ///
     /// # Panics

@@ -10,7 +10,7 @@
 //! diffusion steps on `area_density + weight · normalized(field)` and
 //! moves cells along the blended gradients.
 
-use crate::advect::advect_cells;
+use crate::advect::CellTable;
 use crate::{DiffusionConfig, DiffusionEngine, DiffusionResult, StepRecord, Telemetry};
 use dpm_netlist::Netlist;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
@@ -127,10 +127,11 @@ impl FieldMigration {
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
 
+        let mut cells = CellTable::new(netlist, placement, &grid);
         let mut telemetry = Telemetry::new();
         for step in 0..self.steps {
             engine.compute_velocities();
-            let advect = advect_cells(&engine, &grid, netlist, placement, &self.cfg, false);
+            let advect = cells.advect(&engine, &self.cfg, false, placement);
             engine.step_density(self.cfg.dt * self.cfg.diffusivity);
             telemetry.push(StepRecord {
                 step,

@@ -1,6 +1,6 @@
 //! Global diffusion-based legalization (paper Algorithm 1).
 
-use crate::advect::advect_cells;
+use crate::advect::CellTable;
 use crate::observe::{DiffusionObserver, KernelEvent, KernelKind, NoopObserver, StepEvent};
 use crate::spectral::SpectralSolver;
 use crate::{
@@ -156,6 +156,7 @@ impl GlobalDiffusion {
             engine.load_densities(&d);
         }
 
+        let mut cells = CellTable::new(netlist, placement, &grid);
         let mut telemetry = Telemetry::new();
         let mut steps = 0;
         let mut converged = engine.max_live_density() <= self.cfg.d_max + self.cfg.delta;
@@ -200,7 +201,7 @@ impl GlobalDiffusion {
                 // max_step_displacement.
                 let mut strided = self.cfg.clone();
                 strided.dt = self.cfg.dt * stride as f64;
-                let advect = advect_cells(&engine, &grid, netlist, placement, &strided, false);
+                let advect = cells.advect(&engine, &strided, false, placement);
                 let advect_elapsed = advect_start.elapsed();
                 engine
                     .kernel_timers_mut()
@@ -261,7 +262,7 @@ impl GlobalDiffusion {
                     threads: pool.threads(),
                 });
                 let advect_start = Instant::now();
-                let advect = advect_cells(&engine, &grid, netlist, placement, &self.cfg, false);
+                let advect = cells.advect(&engine, &self.cfg, false, placement);
                 let advect_elapsed = advect_start.elapsed();
                 engine
                     .kernel_timers_mut()

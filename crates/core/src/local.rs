@@ -1,6 +1,6 @@
 //! Robust local diffusion with dynamic density update (paper Algorithm 3).
 
-use crate::advect::advect_cells;
+use crate::advect::CellTable;
 use crate::global::DiffusionResult;
 use crate::observe::{
     DiffusionObserver, KernelEvent, KernelKind, NoopObserver, RoundEvent, StepEvent,
@@ -155,6 +155,7 @@ impl LocalDiffusion {
         });
         let mut avg: Vec<f64> = Vec::new();
         let mut frozen: Vec<bool> = Vec::new();
+        let mut cells = CellTable::new(netlist, placement, &grid);
 
         while rounds < self.cfg.max_rounds {
             if should_stop() {
@@ -224,7 +225,7 @@ impl LocalDiffusion {
                     threads: pool.threads(),
                 });
                 let advect_start = Instant::now();
-                let advect = advect_cells(&engine, &grid, netlist, placement, &self.cfg, true);
+                let advect = cells.advect(&engine, &self.cfg, true, placement);
                 let advect_elapsed = advect_start.elapsed();
                 engine
                     .kernel_timers_mut()

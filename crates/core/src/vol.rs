@@ -31,7 +31,7 @@
 //! drift across a slab boundary mid-round; the router re-derives
 //! ownership from the fresh depths every round.
 
-use crate::advect::AdvectOutcome;
+use crate::advect::{bin_index, AdvectOutcome};
 use crate::spectral::SpectralSolver3;
 use crate::{
     manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, KernelEvent,
@@ -639,10 +639,11 @@ fn advect_cells3(
 /// The (clamped) region-local bin containing a point: x/y in bin
 /// coordinates, z in region-local tier units.
 fn bin3_of(x: f64, y: f64, zl: f64, engine: &DiffusionEngine) -> (usize, usize, usize) {
-    let j = (x.floor().max(0.0) as usize).min(engine.nx() - 1);
-    let k = (y.floor().max(0.0) as usize).min(engine.ny() - 1);
-    let t = (zl.floor().max(0.0) as usize).min(engine.nz() - 1);
-    (j, k, t)
+    (
+        bin_index(x, engine.nx()),
+        bin_index(y, engine.ny()),
+        bin_index(zl, engine.nz()),
+    )
 }
 
 #[cfg(test)]
