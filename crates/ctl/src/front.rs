@@ -21,9 +21,7 @@
 //! [`BackendRegistry`]. Replies travel back to the front-end through an
 //! outbox, and the worker wakes the front-end by writing a byte to a
 //! socket pair it polls next to the connections, so a reply leaves as
-//! soon as it exists. The front-end writes it on the owning connection
-//! with the codec version that connection last spoke, so v2 clients of
-//! a v3 control plane only ever read v2 headers.
+//! soon as it exists. The front-end writes it on the owning connection.
 //!
 //! ## Ordering and shutdown
 //!
@@ -53,9 +51,9 @@ use dpm_serve::delta::decode_delta_request;
 use dpm_serve::job::{self, rejection};
 use dpm_serve::wire::{
     decode_design_bytes, decode_put_design, decode_request, encode_design_ack, encode_error,
-    encode_need_design, encode_progress, encode_response, encode_stats, fnv1a64,
-    write_frame_versioned, DesignAck, ErrorCode, ErrorReply, Frame, FrameAssembler, FrameKind,
-    JobRequest, JobResponse, NeedDesign, ProgressUpdate, StatsSnapshot, DEFAULT_MAX_FRAME_LEN,
+    encode_need_design, encode_progress, encode_response, encode_stats, fnv1a64, write_frame,
+    DesignAck, ErrorCode, ErrorReply, Frame, FrameAssembler, FrameKind, JobRequest, JobResponse,
+    NeedDesign, ProgressUpdate, StatsSnapshot, DEFAULT_MAX_FRAME_LEN,
 };
 use dpm_serve::{
     ShardBackend, ShardRouter, ShardRouterConfig, VolRouteError, VolRouter, VolRouterConfig,
@@ -111,8 +109,8 @@ pub struct CtlConfig {
     /// Deadline applied to requests that carry `deadline_ms: 0`.
     /// `0` means no deadline.
     pub default_deadline_ms: u32,
-    /// Admission contracts, one per tenant. Wire-v2 requests (which
-    /// carry no tenant) are billed to the first tenant.
+    /// Admission contracts, one per tenant. Full `Request` frames carry
+    /// no tenant and are billed to the first tenant.
     pub tenants: Vec<TenantSpec>,
     /// How jobs execute.
     pub exec: ExecMode,
@@ -134,25 +132,17 @@ impl Default for CtlConfig {
 /// One admitted job: where it came from, how to answer, what to run.
 struct Job {
     conn: u64,
-    version: u16,
     arrived: Instant,
     deadline: Option<Instant>,
     req: JobRequest,
 }
 
+/// An [`ExecMode`] as the workers use it: the router configuration and
+/// the shared registry it selects backends from.
 enum Exec {
     InProcess,
-    Sharded {
-        shards: usize,
-        halo_bins: usize,
-        max_halo_rounds: usize,
-        registry: Mutex<BackendRegistry>,
-    },
-    Volumetric {
-        slabs: usize,
-        halo_layers: usize,
-        registry: Mutex<BackendRegistry>,
-    },
+    Sharded(ShardRouterConfig, Mutex<BackendRegistry>),
+    Volumetric(VolRouterConfig, Mutex<BackendRegistry>),
 }
 
 /// How many recent spans the control plane's shared recorder retains.
@@ -196,10 +186,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn send(&self, conn: u64, version: u16, kind: FrameKind, payload: &[u8], last: bool) {
+    fn send(&self, conn: u64, kind: FrameKind, payload: &[u8], last: bool) {
         let mut bytes = Vec::with_capacity(11 + payload.len());
-        write_frame_versioned(&mut bytes, version, kind, payload)
-            .expect("writing to a Vec cannot fail");
+        write_frame(&mut bytes, kind, payload).expect("writing to a Vec cannot fail");
         let mut outbox = self.outbox.lock().unwrap();
         let was_empty = outbox.is_empty();
         outbox.push(Outgoing { conn, bytes, last });
@@ -272,21 +261,19 @@ impl CtlServer {
                 halo_bins,
                 max_halo_rounds,
                 registry,
-            } => Exec::Sharded {
-                shards,
-                halo_bins,
-                max_halo_rounds,
-                registry: Mutex::new(registry),
-            },
+            } => Exec::Sharded(
+                ShardRouterConfig {
+                    shards,
+                    halo_bins,
+                    max_halo_rounds,
+                },
+                Mutex::new(registry),
+            ),
             ExecMode::Volumetric {
                 slabs,
                 halo_layers,
                 registry,
-            } => Exec::Volumetric {
-                slabs,
-                halo_layers,
-                registry: Mutex::new(registry),
-            },
+            } => Exec::Volumetric(VolRouterConfig { slabs, halo_layers }, Mutex::new(registry)),
         };
         let metrics = CtlMetrics::new(&tenant_names);
         let spans = SpanRecorder::with_registry(CTL_SPAN_CAPACITY, metrics.registry());
@@ -356,7 +343,7 @@ impl CtlServer {
     /// Backend-registry state, when running sharded or volumetric.
     pub fn registry_snapshot(&self) -> Option<RegistrySnapshot> {
         match &self.shared.exec {
-            Exec::Sharded { registry, .. } | Exec::Volumetric { registry, .. } => {
+            Exec::Sharded(_, registry) | Exec::Volumetric(_, registry) => {
                 Some(registry.lock().unwrap().snapshot())
             }
             Exec::InProcess => None,
@@ -402,9 +389,6 @@ struct Conn {
     asm: FrameAssembler,
     out: Vec<u8>,
     out_pos: usize,
-    /// Codec version of the last frame this connection sent; every
-    /// reply is stamped with it.
-    version: u16,
     /// A job from this connection is queued or running; later frames
     /// wait until its reply is out.
     busy: bool,
@@ -423,7 +407,6 @@ impl Conn {
             asm: FrameAssembler::new(),
             out: Vec::new(),
             out_pos: 0,
-            version: dpm_serve::wire::VERSION,
             busy: false,
             polled: false,
             closing: false,
@@ -432,8 +415,7 @@ impl Conn {
     }
 
     fn push_frame(&mut self, kind: FrameKind, payload: &[u8]) {
-        write_frame_versioned(&mut self.out, self.version, kind, payload)
-            .expect("writing to a Vec cannot fail");
+        write_frame(&mut self.out, kind, payload).expect("writing to a Vec cannot fail");
     }
 
     fn push_error(&mut self, err: &ErrorReply) {
@@ -621,7 +603,6 @@ fn dispatch_frames(shared: &Shared, token: u64, conn: &mut Conn, max_frame_len: 
 }
 
 fn dispatch_frame(shared: &Shared, token: u64, conn: &mut Conn, frame: &Frame) {
-    conn.version = frame.version;
     match frame.kind {
         FrameKind::StatsRequest => {
             conn.push_frame(FrameKind::Stats, &encode_stats(&shared.stats()))
@@ -629,7 +610,7 @@ fn dispatch_frame(shared: &Shared, token: u64, conn: &mut Conn, frame: &Frame) {
         FrameKind::Request => match decode_request(&frame.payload) {
             Ok(req) => {
                 shared.metrics.received.inc();
-                // v2 requests carry no tenant; they are billed to the
+                // Full requests carry no tenant; they are billed to the
                 // first configured tenant.
                 admit(shared, token, conn, 0, req);
             }
@@ -753,7 +734,7 @@ fn handle_delta(shared: &Shared, token: u64, conn: &mut Conn, dreq: dpm_serve::D
 /// Checks a job once, before it can take a queue slot.
 fn admission_check(shared: &Shared, req: &JobRequest) -> Result<(), ErrorReply> {
     job::validate(req)?;
-    if req.vol.is_some() && matches!(shared.exec, Exec::Sharded { .. }) {
+    if req.vol.is_some() && matches!(shared.exec, Exec::Sharded(..)) {
         return Err(rejection(
             req.id,
             ErrorCode::InvalidConfig,
@@ -782,7 +763,6 @@ fn admit(shared: &Shared, token: u64, conn: &mut Conn, tenant_idx: usize, req: J
         (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
     let job = Job {
         conn: token,
-        version: conn.version,
         arrived: Instant::now(),
         deadline,
         req,
@@ -840,7 +820,6 @@ fn worker_loop(shared: &Shared) {
         shared.metrics.queue_hist.record_duration(queue_wait);
         let Job {
             conn,
-            version,
             arrived,
             deadline,
             mut req,
@@ -861,7 +840,7 @@ fn worker_loop(shared: &Shared) {
             );
             ids.child_of(&ctx)
         });
-        let outcome = execute(shared, conn, version, deadline, &mut req);
+        let outcome = execute(shared, conn, deadline, &mut req);
         let e2e = arrived.elapsed();
         shared.metrics.e2e_hist.record_duration(e2e);
         shared.metrics.tenant(tenant_idx).e2e.record_duration(e2e);
@@ -884,7 +863,7 @@ fn worker_loop(shared: &Shared) {
                 shared.metrics.kernels.lock().unwrap().merge(&kernels);
                 shared.metrics.tenant(tenant_idx).jobs_ok.inc();
                 let payload = encode_response(&resp);
-                shared.send(conn, version, FrameKind::Response, &payload, true);
+                shared.send(conn, FrameKind::Response, &payload, true);
             }
             Err(err) => {
                 // Error replies carry no span export.
@@ -895,7 +874,7 @@ fn worker_loop(shared: &Shared) {
                     _ => {}
                 }
                 shared.metrics.tenant(tenant_idx).jobs_err.inc();
-                shared.send(conn, version, FrameKind::Error, &encode_error(&err), true);
+                shared.send(conn, FrameKind::Error, &encode_error(&err), true);
             }
         }
     }
@@ -909,46 +888,22 @@ fn worker_loop(shared: &Shared) {
 fn execute(
     shared: &Shared,
     conn: u64,
-    version: u16,
     deadline: Option<Instant>,
     req: &mut JobRequest,
 ) -> Result<(JobResponse, KernelTimers), ErrorReply> {
     let mut progress = |p: ProgressUpdate| {
         shared.metrics.progress_frames.inc();
-        shared.send(
-            conn,
-            version,
-            FrameKind::Progress,
-            &encode_progress(&p),
-            false,
-        );
+        shared.send(conn, FrameKind::Progress, &encode_progress(&p), false);
     };
     let exec_ctx = req.trace;
     let exec_start = shared.spans.now_ns();
     let outcome = match &shared.exec {
         Exec::InProcess => return job::run(req, deadline, &shared.spans, &mut progress),
-        Exec::Sharded {
-            shards,
-            halo_bins,
-            max_halo_rounds,
-            registry,
-        } => run_sharded(
-            shared,
-            registry,
-            ShardRouterConfig {
-                shards: *shards,
-                halo_bins: *halo_bins,
-                max_halo_rounds: *max_halo_rounds,
-                encoding: dpm_serve::wire::PayloadEncoding::Binary,
-            },
-            req,
-        ),
-        Exec::Volumetric {
-            slabs,
-            halo_layers,
-            registry,
-        } if req.vol.is_some() => run_volumetric(shared, registry, *slabs, *halo_layers, req),
-        Exec::Volumetric { .. } => {
+        Exec::Sharded(cfg, registry) => run_sharded(shared, registry, cfg, req),
+        Exec::Volumetric(cfg, registry) if req.vol.is_some() => {
+            run_volumetric(shared, registry, cfg, req)
+        }
+        Exec::Volumetric(..) => {
             // The planar fallback's runner span nests under `ctl.execute`.
             req.trace =
                 exec_ctx.map(|ctx| TraceIdGen::seeded(ctx.span_id ^ CTL_EXEC_SALT).child_of(&ctx));
@@ -989,11 +944,11 @@ fn select_backends(
 fn run_sharded(
     shared: &Shared,
     registry: &Mutex<BackendRegistry>,
-    cfg: ShardRouterConfig,
+    cfg: &ShardRouterConfig,
     req: &JobRequest,
 ) -> Result<(JobResponse, KernelTimers), ErrorReply> {
     let (primaries, spares) = select_backends(shared, registry);
-    let router = ShardRouter::with_spares(cfg, primaries, spares);
+    let router = ShardRouter::with_spares(cfg.clone(), primaries, spares);
     let t0 = Instant::now();
     let reply = router.route(req);
     let service_ns = t0.elapsed().as_nanos() as u64;
@@ -1026,19 +981,11 @@ fn run_sharded(
 fn run_volumetric(
     shared: &Shared,
     registry: &Mutex<BackendRegistry>,
-    slabs: usize,
-    halo_layers: usize,
+    cfg: &VolRouterConfig,
     req: &JobRequest,
 ) -> Result<(JobResponse, KernelTimers), ErrorReply> {
     let (primaries, _spares) = select_backends(shared, registry);
-    let router = VolRouter::new(
-        VolRouterConfig {
-            slabs,
-            halo_layers,
-            encoding: dpm_serve::wire::PayloadEncoding::Binary,
-        },
-        primaries.clone(),
-    );
+    let router = VolRouter::new(cfg.clone(), primaries.clone());
     let t0 = Instant::now();
     let reply = router.route(req);
     let service_ns = t0.elapsed().as_nanos() as u64;

@@ -25,8 +25,7 @@
 //!   connections on one thread (epoll on Linux, a deterministic
 //!   scanner in tests), with incremental frame assembly, in-order
 //!   replies per connection, workers that wake it the moment a reply
-//!   exists, a graceful drain on shutdown, and per-connection version
-//!   echo for wire-v2 clients. Admitted jobs run through
+//!   exists, and a graceful drain on shutdown. Admitted jobs run through
 //!   [`dpm_serve::job::run`].
 //! - [`BackendRegistry`][]: health-checked
 //!   primaries with warm spares; dead backends are replaced between

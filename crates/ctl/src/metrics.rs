@@ -133,11 +133,10 @@ impl CtlMetrics {
         &self.registry
     }
 
-    /// Builds the wire-compatible stats snapshot a `StatsRequest`
-    /// frame is answered with. Control-plane-only counters (cache,
-    /// failover, per-tenant) are visible via
-    /// [`registry`](Self::registry) instead — the wire snapshot keeps
-    /// its v2 shape so v2 clients can decode it.
+    /// Builds the stats snapshot a `StatsRequest` frame is answered
+    /// with. Control-plane-only counters (cache, failover, per-tenant)
+    /// are not on the wire; they are visible via
+    /// [`registry`](Self::registry).
     pub fn stats_snapshot(&self, queue_depth: u64) -> StatsSnapshot {
         StatsSnapshot {
             queue_depth,

@@ -1,18 +1,19 @@
 //! End-to-end tests for the control plane: the ECO-delta path is
 //! bit-identical to a full resend (both solvers, in-process engine and
 //! over TCP), the NeedDesign handshake and LRU eviction behave
-//! deterministically over the wire, legacy v2 clients get v2 replies
-//! byte for byte, and a sharded control plane survives a dead backend
-//! via the registry's warm spare.
+//! deterministically over the wire, a frame stamped with a retired
+//! codec version gets one typed error before the connection closes, and
+//! a sharded control plane survives a dead backend via the registry's
+//! warm spare.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
 use dpm_diffusion::{DiffusionConfig, SolverKind};
 use dpm_gen::{Benchmark, CircuitSpec, EcoSpec, InflationSpec};
 use dpm_serve::wire::{
-    design_hash, encode_request, encode_response, write_frame_versioned, FrameKind, JobKind,
-    JobRequest, PayloadEncoding,
+    design_hash, encode_request, read_frame, write_frame, FrameKind, JobKind, JobRequest,
+    PayloadEncoding, DEFAULT_MAX_FRAME_LEN,
 };
 use dpm_serve::{
     execute_job, DeltaJobRequest, DeltaReply, EcoDelta, ErrorCode, Reply, ServeClient,
@@ -257,49 +258,37 @@ fn wire_lru_eviction_is_deterministic() {
 }
 
 #[test]
-fn v2_client_gets_v2_reply_bytes() {
+fn retired_version_gets_one_error_then_close() {
     let config = DiffusionConfig::default();
     let eco = bench(150, 97);
     let ctl = CtlServer::start(one_tenant_cfg()).expect("ctl starts");
 
-    // Hand-rolled v2 client: a v2-stamped Request frame on a raw
-    // socket.
+    // A well-formed request stamped with the retired v3 header.
     let mut stream = TcpStream::connect(ctl.local_addr()).expect("connect");
-    let req = full_request(&eco, 77, JobKind::Local, &config);
-    let payload = encode_request(&req, PayloadEncoding::Binary);
-    write_frame_versioned(&mut stream, 2, FrameKind::Request, &payload).expect("send v2");
-
-    // Read the raw reply: header first, then payload.
-    let mut header = [0u8; 11];
-    stream.read_exact(&mut header).expect("reply header");
-    assert_eq!(&header[..4], b"DPMS");
-    assert_eq!(
-        u16::from_le_bytes([header[4], header[5]]),
-        2,
-        "a v3 control plane must echo the request's v2 on the reply header"
+    let payload = encode_request(
+        &full_request(&eco, 77, JobKind::Local, &config),
+        PayloadEncoding::Binary,
     );
-    assert_eq!(header[6], 2, "frame kind byte for Response");
-    let len = u32::from_le_bytes([header[7], header[8], header[9], header[10]]) as usize;
-    let mut reply_payload = vec![0u8; len];
-    stream
-        .read_exact(&mut reply_payload)
-        .expect("reply payload");
+    let mut frame = Vec::new();
+    write_frame(&mut frame, FrameKind::Request, &payload).expect("encode");
+    frame[4..6].copy_from_slice(&3u16.to_le_bytes());
+    stream.write_all(&frame).expect("send v3");
 
-    // Byte-for-byte: the whole reply equals a v2-stamped re-encoding of
-    // its own decode, so nothing in the frame changed shape under v3.
-    let resp = dpm_serve::wire::decode_response(&reply_payload).expect("decode");
-    assert_eq!(resp.id, 77);
-    let mut expected = Vec::new();
-    write_frame_versioned(
-        &mut expected,
-        2,
-        FrameKind::Response,
-        &encode_response(&resp),
-    )
-    .expect("re-encode");
-    let mut actual = header.to_vec();
-    actual.extend_from_slice(&reply_payload);
-    assert_eq!(actual, expected, "v2 reply must round-trip byte for byte");
+    // One typed error reply, stamped with the current version...
+    let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+        .expect("reads")
+        .expect("error reply");
+    let Reply::Rejected(err) = Reply::from_frame(&reply).expect("decodes") else {
+        panic!("a v3 frame must be refused");
+    };
+    assert_eq!(err.code, ErrorCode::Malformed);
+    assert!(err.message.contains("version 3"), "{}", err.message);
+    // ...then the server closes the stream it cannot resynchronize.
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("clean close");
+    assert!(rest.is_empty(), "no frame may follow the error");
+    assert_eq!(ctl.metrics().malformed.get(), 1);
+    assert_eq!(ctl.metrics().received.get(), 0);
     ctl.shutdown();
 }
 
@@ -415,8 +404,8 @@ fn hundreds_of_idle_connections_do_not_starve_a_request() {
     // The idle connections are still alive and serviceable afterwards.
     let mut last = idle.into_iter().next_back().expect("have one");
     last.set_nonblocking(false).expect("blocking");
-    write_frame_versioned(&mut last, 3, FrameKind::StatsRequest, &[]).expect("stats on idle");
-    let frame = dpm_serve::wire::read_frame(&mut last, 1 << 20)
+    write_frame(&mut last, FrameKind::StatsRequest, &[]).expect("stats on idle");
+    let frame = read_frame(&mut last, 1 << 20)
         .expect("read stats")
         .expect("stats frame");
     assert_eq!(frame.kind, FrameKind::Stats);

@@ -652,9 +652,8 @@ fn clients_unaware_of_progress_frames_still_get_their_reply() {
     let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
-    // A "legacy" reader: consumes frames manually and only understands
-    // terminal reply kinds, skipping anything else — the documented
-    // upgrade path for old clients.
+    // A minimal reader: consumes frames manually and only understands
+    // terminal reply kinds, skipping anything else.
     let mut streamed = busy_request(51, JobKind::Global);
     streamed.progress_stride = 4;
 

@@ -31,10 +31,10 @@ use dpm_place::{Die, Placement};
 
 use crate::delta::{encode_delta_request, DeltaJobRequest};
 use crate::wire::{
-    decode_design_ack, decode_need_design, decode_progress, decode_stats, encode_design_bytes,
-    encode_put_design, fnv1a64, read_frame, write_frame, DesignAck, FrameKind, JobRequest,
-    NeedDesign, PayloadEncoding, ProgressUpdate, PutDesign, Reply, StatsSnapshot, WireError,
-    DEFAULT_MAX_FRAME_LEN,
+    decode_design_ack, decode_error, decode_need_design, decode_progress, decode_stats,
+    encode_design_bytes, encode_put_design, fnv1a64, read_frame, write_frame, DesignAck, Frame,
+    FrameKind, JobRequest, NeedDesign, PayloadEncoding, ProgressUpdate, PutDesign, Reply,
+    StatsSnapshot, WireError, DEFAULT_MAX_FRAME_LEN,
 };
 
 /// What a delta request can come back with: a normal terminal [`Reply`]
@@ -71,7 +71,6 @@ struct Tracing {
 /// plane, or anything else speaking the [`wire`](crate::wire) protocol).
 pub struct ServeClient {
     stream: TcpStream,
-    max_frame_len: usize,
     tracing: Option<Tracing>,
 }
 
@@ -86,15 +85,8 @@ impl ServeClient {
         stream.set_nodelay(true)?;
         Ok(Self {
             stream,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             tracing: None,
         })
-    }
-
-    /// Caps the size of reply frames this client will accept.
-    pub fn with_max_frame_len(mut self, max: usize) -> Self {
-        self.max_frame_len = max;
-        self
     }
 
     /// Arms distributed tracing on this connection. Trace and span ids
@@ -199,6 +191,31 @@ impl ServeClient {
         }
     }
 
+    /// Reads the next frame, or [`WireError::Truncated`] naming `context`
+    /// if the server closed the connection instead.
+    fn next_frame(&mut self, context: &'static str) -> Result<Frame, WireError> {
+        read_frame(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?.ok_or(WireError::Truncated { context })
+    }
+
+    /// Reads frames until one of kind `want` arrives, skipping stray
+    /// progress frames. A server error frame, or a frame of any other
+    /// kind, is [`WireError::Malformed`] under `context`.
+    fn expect_frame(&mut self, want: FrameKind, context: &'static str) -> Result<Frame, WireError> {
+        loop {
+            let frame = self.next_frame(context)?;
+            let message = match frame.kind {
+                kind if kind == want => return Ok(frame),
+                FrameKind::Progress => continue,
+                FrameKind::Error => {
+                    let e = decode_error(&frame.payload)?;
+                    format!("{}: {}", e.code.as_str(), e.message)
+                }
+                other => format!("expected {want:?}, got {other:?}"),
+            };
+            return Err(WireError::Malformed { context, message });
+        }
+    }
+
     /// Sends one request without waiting for its reply. Pair with
     /// [`recv_reply`](Self::recv_reply); the server replies in
     /// submission order, so N sends followed by N receives keeps N
@@ -236,24 +253,14 @@ impl ServeClient {
     /// corrupt.
     pub fn recv_reply_with(
         &mut self,
-        mut on_progress: impl FnMut(&ProgressUpdate),
+        on_progress: impl FnMut(&ProgressUpdate),
     ) -> Result<Reply, WireError> {
-        loop {
-            let frame = match read_frame(&mut self.stream, self.max_frame_len)? {
-                Some(frame) => frame,
-                None => {
-                    return Err(WireError::Truncated {
-                        context: "reply frame (connection closed)",
-                    })
-                }
-            };
-            if frame.kind == FrameKind::Progress {
-                on_progress(&decode_progress(&frame.payload)?);
-                continue;
-            }
-            let mut reply = Reply::from_frame(&frame)?;
-            self.harvest(&mut reply);
-            return Ok(reply);
+        match self.recv_delta_reply(on_progress)? {
+            DeltaReply::Done(reply) => Ok(reply),
+            DeltaReply::NeedDesign(_) => Err(WireError::Malformed {
+                context: "reply",
+                message: "NeedDesign answers a delta request only".into(),
+            }),
         }
     }
 
@@ -295,11 +302,10 @@ impl ServeClient {
         self.recv_reply_with(on_progress)
     }
 
-    /// Uploads a baseline design to the server's content-hash cache
-    /// (wire v3, control-plane servers only) and returns the ack. The
-    /// returned [`DesignAck::hash`] is the key later
-    /// [`DeltaJobRequest::baseline`] fields must carry; it always
-    /// equals [`design_hash`](crate::wire::design_hash) of the design.
+    /// Uploads a baseline design to the server's content-hash cache and
+    /// returns the ack. The returned [`DesignAck::hash`] is the key later
+    /// [`DeltaJobRequest::baseline`] fields must carry; it always equals
+    /// [`design_hash`](crate::wire::design_hash) of the design.
     ///
     /// # Errors
     ///
@@ -326,47 +332,18 @@ impl ServeClient {
             FrameKind::PutDesign,
             &encode_put_design(&put),
         )?;
-        loop {
-            let frame = match read_frame(&mut self.stream, self.max_frame_len)? {
-                Some(frame) => frame,
-                None => {
-                    return Err(WireError::Truncated {
-                        context: "design ack (connection closed)",
-                    })
-                }
-            };
-            match frame.kind {
-                FrameKind::DesignAck => {
-                    let ack = decode_design_ack(&frame.payload)?;
-                    if ack.hash != expected {
-                        return Err(WireError::Malformed {
-                            context: "design ack",
-                            message: format!(
-                                "server hashed the design to {:016x}, client to {expected:016x}",
-                                ack.hash
-                            ),
-                        });
-                    }
-                    return Ok(ack);
-                }
-                FrameKind::Progress => continue,
-                FrameKind::Error => {
-                    // Surface the server's typed rejection as a wire
-                    // error — uploads have no partial-success state.
-                    let e = crate::wire::decode_error(&frame.payload)?;
-                    return Err(WireError::Malformed {
-                        context: "design upload",
-                        message: format!("{}: {}", e.code.as_str(), e.message),
-                    });
-                }
-                other => {
-                    return Err(WireError::Malformed {
-                        context: "design ack",
-                        message: format!("expected a design ack, got {other:?}"),
-                    })
-                }
-            }
+        let frame = self.expect_frame(FrameKind::DesignAck, "design ack")?;
+        let ack = decode_design_ack(&frame.payload)?;
+        if ack.hash != expected {
+            return Err(WireError::Malformed {
+                context: "design ack",
+                message: format!(
+                    "server hashed the design to {:016x}, client to {expected:016x}",
+                    ack.hash
+                ),
+            });
         }
+        Ok(ack)
     }
 
     /// Sends one delta request without waiting for its reply. Pair with
@@ -396,14 +373,7 @@ impl ServeClient {
         mut on_progress: impl FnMut(&ProgressUpdate),
     ) -> Result<DeltaReply, WireError> {
         loop {
-            let frame = match read_frame(&mut self.stream, self.max_frame_len)? {
-                Some(frame) => frame,
-                None => {
-                    return Err(WireError::Truncated {
-                        context: "delta reply (connection closed)",
-                    })
-                }
-            };
+            let frame = self.next_frame("delta reply (connection closed)")?;
             match frame.kind {
                 FrameKind::Progress => on_progress(&decode_progress(&frame.payload)?),
                 FrameKind::NeedDesign => {
@@ -464,27 +434,6 @@ impl ServeClient {
     /// frame.
     pub fn stats(&mut self) -> Result<StatsSnapshot, WireError> {
         write_frame(&mut self.stream, FrameKind::StatsRequest, &[])?;
-        loop {
-            let frame = match read_frame(&mut self.stream, self.max_frame_len)? {
-                Some(frame) => frame,
-                None => {
-                    return Err(WireError::Truncated {
-                        context: "stats frame (connection closed)",
-                    })
-                }
-            };
-            match frame.kind {
-                FrameKind::Stats => return decode_stats(&frame.payload),
-                // Stray progress from an earlier streaming request on
-                // this connection; skip it.
-                FrameKind::Progress => continue,
-                other => {
-                    return Err(WireError::Malformed {
-                        context: "stats reply",
-                        message: format!("expected a stats frame, got {other:?}"),
-                    })
-                }
-            }
-        }
+        decode_stats(&self.expect_frame(FrameKind::Stats, "stats reply")?.payload)
     }
 }

@@ -1,4 +1,4 @@
-//! ECO deltas: the incremental request payload of wire v3.
+//! ECO deltas: the incremental request payload.
 //!
 //! A physical-synthesis loop changes only a sliver of the design per
 //! iteration — a few cells resized by gate repowering, a few moved, a
@@ -8,6 +8,11 @@
 //! FNV content hash plus an [`EcoDelta`] describing the edits. The
 //! server applies the delta to its cached parsed baseline and runs an
 //! ordinary job.
+//!
+//! On the wire a delta request is the job head a full request also
+//! starts with (id, deadline, progress stride, kind, design name and
+//! config), then the tenant, the baseline hash and the delta, then an
+//! optional trace-context section (see [`wire`](crate::wire)).
 //!
 //! # Why deltas carry geometry only
 //!
@@ -26,17 +31,17 @@
 use std::error::Error;
 use std::fmt;
 
-use dpm_diffusion::{DiffusionConfig, SolverKind};
+use dpm_diffusion::DiffusionConfig;
 use dpm_geom::Point;
 use dpm_netlist::{CellKind, Netlist, NetlistBuilder};
+use dpm_obs::TraceContext;
 use dpm_place::{Die, Placement};
 
 use crate::wire::{
-    cell_kind_from_u8, cell_kind_to_u8, malformed, put_config, put_f64, put_str, put_trace,
-    put_u32, put_u64, put_u8, solver_kind_from_u8, take_config, take_trace, Cur, JobKind,
-    JobRequest, WireError,
+    cell_kind_from_u8, cell_kind_to_u8, put_f64, put_job_head, put_section, put_str, put_trace,
+    put_u32, put_u64, put_u8, take_job_head, take_sections, take_trace, Cur, JobHead, JobKind,
+    JobRequest, WireError, TAG_TRACE,
 };
-use dpm_obs::TraceContext;
 
 /// A width/height change to an existing baseline cell (gate repowering).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -314,7 +319,7 @@ impl EcoDelta {
     }
 }
 
-/// One incremental legalization request (wire v3): the job parameters
+/// One incremental legalization request: the job parameters
 /// of a [`JobRequest`] plus a baseline content hash and the
 /// [`EcoDelta`] to apply to it, instead of a full design.
 #[derive(Debug, Clone)]
@@ -331,16 +336,14 @@ pub struct DeltaJobRequest {
     pub design: String,
     /// Tenant this request is admitted and accounted under.
     pub tenant: String,
-    /// Diffusion parameters (solver kind travels as an explicit field —
-    /// this frame kind is v3-only, so no trailing-byte dance).
+    /// Diffusion parameters.
     pub config: DiffusionConfig,
     /// Content hash ([`design_hash`](crate::wire::design_hash)) of the
     /// cached baseline design this delta applies to.
     pub baseline: u64,
     /// The edits.
     pub delta: EcoDelta,
-    /// Optional distributed-trace context, riding as an optional
-    /// trailing block: pre-tracing delta frames decode unchanged.
+    /// Optional distributed-trace context.
     pub trace: Option<TraceContext>,
 }
 
@@ -377,20 +380,16 @@ impl DeltaJobRequest {
 /// Encodes a delta request into a frame payload.
 pub fn encode_delta_request(req: &DeltaJobRequest) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, req.id);
-    put_u32(&mut buf, req.deadline_ms);
-    put_u32(&mut buf, req.progress_stride);
-    put_u8(&mut buf, matches!(req.kind, JobKind::Local) as u8);
-    put_str(&mut buf, &req.design);
-    put_str(&mut buf, &req.tenant);
-    put_config(&mut buf, &req.config);
-    put_u8(
+    put_job_head(
         &mut buf,
-        match req.config.solver {
-            SolverKind::Ftcs => 0,
-            SolverKind::Spectral => 1,
-        },
+        req.id,
+        req.deadline_ms,
+        req.progress_stride,
+        req.kind,
+        &req.design,
+        &req.config,
     );
+    put_str(&mut buf, &req.tenant);
     put_u64(&mut buf, req.baseline);
 
     put_u32(&mut buf, req.delta.resized.len() as u32);
@@ -415,12 +414,8 @@ pub fn encode_delta_request(req: &DeltaJobRequest) -> Vec<u8> {
         put_f64(&mut buf, a.x);
         put_f64(&mut buf, a.y);
     }
-    // Optional trailing trace extension: one flags byte (bit 0 = trace
-    // context follows), then the 24-byte context. Untraced requests add
-    // nothing, so pre-tracing frames stay byte-identical.
     if let Some(t) = &req.trace {
-        put_u8(&mut buf, 1);
-        put_trace(&mut buf, t);
+        put_section(&mut buf, TAG_TRACE, |b| put_trace(b, t));
     }
     buf
 }
@@ -434,31 +429,18 @@ pub fn encode_delta_request(req: &DeltaJobRequest) -> Vec<u8> {
 /// payload length before allocation.
 pub fn decode_delta_request(payload: &[u8]) -> Result<DeltaJobRequest, WireError> {
     let mut cur = Cur::new(payload);
-    let id = cur.u64("delta.id")?;
-    let deadline_ms = cur.u32("delta.deadline_ms")?;
-    let progress_stride = cur.u32("delta.progress_stride")?;
-    let kind = if cur.u8("delta.kind")? != 0 {
-        JobKind::Local
-    } else {
-        JobKind::Global
-    };
-    let design = cur.str_("delta.design")?;
+    let JobHead {
+        id,
+        deadline_ms,
+        progress_stride,
+        kind,
+        design,
+        config,
+    } = take_job_head(&mut cur)?;
     let tenant = cur.str_("delta.tenant")?;
-    let mut config = take_config(&mut cur)?;
-    config.solver = solver_kind_from_u8(cur.u8("delta.solver")?)?;
     let baseline = cur.u64("delta.baseline")?;
 
-    // Each resize entry is ≥ 20 bytes, each move ≥ 20, each add ≥ 37;
-    // cap counts by what the payload could possibly hold so a corrupt
-    // count cannot drive a giant allocation.
-    let remaining = payload.len() - cur.pos;
-    let n_resized = cur.u32("delta.resized.count")? as usize;
-    if n_resized > remaining / 20 {
-        return Err(malformed(
-            "delta.resized.count",
-            format!("{n_resized} entries cannot fit the payload"),
-        ));
-    }
+    let n_resized = cur.count(4 + 8 + 8, "delta.resized.count")?;
     let mut resized = Vec::with_capacity(n_resized);
     for _ in 0..n_resized {
         resized.push(CellResize {
@@ -467,14 +449,7 @@ pub fn decode_delta_request(payload: &[u8]) -> Result<DeltaJobRequest, WireError
             height: cur.f64("resize.height")?,
         });
     }
-    let remaining = payload.len() - cur.pos;
-    let n_moved = cur.u32("delta.moved.count")? as usize;
-    if n_moved > remaining / 20 {
-        return Err(malformed(
-            "delta.moved.count",
-            format!("{n_moved} entries cannot fit the payload"),
-        ));
-    }
+    let n_moved = cur.count(4 + 8 + 8, "delta.moved.count")?;
     let mut moved = Vec::with_capacity(n_moved);
     for _ in 0..n_moved {
         moved.push(CellMove {
@@ -483,14 +458,8 @@ pub fn decode_delta_request(payload: &[u8]) -> Result<DeltaJobRequest, WireError
             y: cur.f64("move.y")?,
         });
     }
-    let remaining = payload.len() - cur.pos;
-    let n_added = cur.u32("delta.added.count")? as usize;
-    if n_added > remaining / 37 {
-        return Err(malformed(
-            "delta.added.count",
-            format!("{n_added} entries cannot fit the payload"),
-        ));
-    }
+    // name length, width, height, kind, delay, x, y
+    let n_added = cur.count(4 + 8 + 8 + 1 + 8 + 8 + 8, "delta.added.count")?;
     let mut added = Vec::with_capacity(n_added);
     for _ in 0..n_added {
         added.push(NewCell {
@@ -503,19 +472,11 @@ pub fn decode_delta_request(payload: &[u8]) -> Result<DeltaJobRequest, WireError
             y: cur.f64("add.y")?,
         });
     }
-    let trace = if cur.pos < cur.buf.len() {
-        let flags = cur.u8("delta.ext.flags")?;
-        if flags != 1 {
-            return Err(malformed(
-                "delta.ext.flags",
-                format!("unknown flag bits {flags:#x}"),
-            ));
-        }
-        Some(take_trace(&mut cur)?)
-    } else {
-        None
-    };
-    cur.finish("delta")?;
+    let mut trace = None;
+    take_sections(&mut cur, &[TAG_TRACE], "delta.section", |_, s| {
+        trace = Some(take_trace(s)?);
+        Ok(())
+    })?;
     Ok(DeltaJobRequest {
         id,
         deadline_ms,
@@ -535,8 +496,9 @@ pub fn decode_delta_request(payload: &[u8]) -> Result<DeltaJobRequest, WireError
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use dpm_diffusion::SolverKind;
     use dpm_netlist::PinDir;
 
     fn base() -> (Netlist, Die, Placement) {
@@ -656,24 +618,26 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn delta_request_wire_round_trip_is_exact() {
-        let req = DeltaJobRequest {
+    pub(crate) fn sample_request() -> DeltaJobRequest {
+        DeltaJobRequest {
             id: 31,
             deadline_ms: 500,
             progress_stride: 4,
             kind: JobKind::Global,
             design: "eco-7".into(),
             tenant: "acme".into(),
-            config: {
-                let mut c = DiffusionConfig::default().with_bin_size(24.0);
-                c.solver = SolverKind::Spectral;
-                c
-            },
+            config: DiffusionConfig::default()
+                .with_bin_size(24.0)
+                .with_solver(SolverKind::Spectral),
             baseline: 0x1234_5678_9abc_def0,
             delta: sample_delta(),
             trace: None,
-        };
+        }
+    }
+
+    #[test]
+    fn delta_request_wire_round_trip_is_exact() {
+        let mut req = sample_request();
         let payload = encode_delta_request(&req);
         let back = decode_delta_request(&payload).expect("decodes");
         assert_eq!(back.id, 31);
@@ -682,67 +646,50 @@ mod tests {
         assert_eq!(back.kind, JobKind::Global);
         assert_eq!(back.design, "eco-7");
         assert_eq!(back.tenant, "acme");
-        assert_eq!(back.config.solver, SolverKind::Spectral);
+        assert_eq!(back.config, req.config);
         assert_eq!(back.baseline, req.baseline);
         assert_eq!(back.delta, req.delta);
+        assert_eq!(back.trace, None);
         // Trailing garbage and truncation are typed errors.
         let mut longer = payload.clone();
         longer.push(0);
         assert!(decode_delta_request(&longer).is_err());
         assert!(decode_delta_request(&payload[..payload.len() - 3]).is_err());
-    }
 
-    #[test]
-    fn traced_delta_request_is_a_pure_suffix_of_the_legacy_frame() {
-        let mut req = DeltaJobRequest {
-            id: 31,
-            deadline_ms: 500,
-            progress_stride: 4,
-            kind: JobKind::Global,
-            design: "eco-7".into(),
-            tenant: "acme".into(),
-            config: DiffusionConfig::default().with_bin_size(24.0),
-            baseline: 0x1234_5678_9abc_def0,
-            delta: sample_delta(),
-            trace: None,
-        };
-        let legacy = encode_delta_request(&req);
-        req.trace = Some(dpm_obs::TraceContext {
+        // Traced: one 24-byte trace section after the delta.
+        req.trace = Some(TraceContext {
             trace_id: 0xAAAA,
             span_id: 0xBBBB,
             parent_id: 0,
         });
         let traced = encode_delta_request(&req);
-        // Flags byte + 24-byte context, appended after everything a
-        // pre-tracing decoder reads.
-        assert_eq!(traced.len(), legacy.len() + 1 + 24);
-        assert_eq!(&traced[..legacy.len()], &legacy[..]);
+        assert_eq!(traced.len(), payload.len() + 1 + 4 + 24);
         assert_eq!(
             decode_delta_request(&traced).expect("decodes").trace,
             req.trace
         );
-        assert_eq!(decode_delta_request(&legacy).expect("decodes").trace, None);
-
-        // Unknown flag bits and truncated contexts are typed errors.
-        let flags_off = legacy.len();
-        let mut bad = traced.clone();
-        bad[flags_off] = 3;
-        assert!(matches!(
-            decode_delta_request(&bad),
-            Err(WireError::Malformed {
-                context: "delta.ext.flags",
-                ..
-            })
-        ));
-        for cut in flags_off + 1..traced.len() {
+        // A delta request allows the trace tag only.
+        let sec_off = payload.len();
+        for unknown in [0u8, 1, 2, 3, 5, 0xFF] {
+            let mut bad = traced.clone();
+            bad[sec_off] = unknown;
+            assert!(matches!(
+                decode_delta_request(&bad),
+                Err(WireError::Malformed {
+                    context: "delta.section",
+                    ..
+                })
+            ));
+        }
+        // Truncated and all-zero contexts are typed errors.
+        for cut in sec_off + 1..traced.len() {
             assert!(
                 decode_delta_request(&traced[..cut]).is_err(),
-                "truncated trace ext decoded at {cut}"
+                "truncated trace section decoded at {cut}"
             );
         }
-        // The all-zero context is malformed here too.
         let mut bad = traced.clone();
-        bad[flags_off + 1..].fill(0);
+        bad[sec_off + 1 + 4..].fill(0);
         assert!(matches!(
             decode_delta_request(&bad),
             Err(WireError::Malformed {
@@ -755,16 +702,8 @@ mod tests {
     #[test]
     fn corrupt_entry_counts_do_not_allocate() {
         let req = DeltaJobRequest {
-            id: 1,
-            deadline_ms: 0,
-            progress_stride: 0,
-            kind: JobKind::Local,
-            design: String::new(),
-            tenant: String::new(),
-            config: DiffusionConfig::default(),
-            baseline: 0,
             delta: EcoDelta::default(),
-            trace: None,
+            ..sample_request()
         };
         let payload = encode_delta_request(&req);
         // The resized count is the first u32 after the baseline hash;
@@ -781,20 +720,10 @@ mod tests {
     #[test]
     fn to_job_request_carries_applied_design() {
         let (nl, die, pl) = base();
-        let req = DeltaJobRequest {
-            id: 8,
-            deadline_ms: 100,
-            progress_stride: 0,
-            kind: JobKind::Global,
-            design: "d".into(),
-            tenant: "t".into(),
-            config: DiffusionConfig::default().with_bin_size(24.0),
-            baseline: 7,
-            delta: sample_delta(),
-            trace: None,
-        };
-        let job = req.to_job_request(&nl, &die, &pl).expect("applies");
-        assert_eq!(job.id, 8);
+        let job = sample_request()
+            .to_job_request(&nl, &die, &pl)
+            .expect("applies");
+        assert_eq!(job.id, 31);
         assert_eq!(job.netlist.num_cells(), 4);
         assert_eq!(job.die.outline().urx.to_bits(), die.outline().urx.to_bits());
         assert_eq!(job.placement.get(dpm_netlist::CellId::new(1)).x, 30.0);

@@ -7,8 +7,8 @@
 //! serves every role from one event loop: the client front door, and a
 //! single-tenant shard or slab backend. This crate provides
 //!
-//! - the **wire protocol** ([`wire`]): a length-prefixed, versioned
-//!   binary framing for requests, responses, typed errors, streamed
+//! - the **wire protocol** ([`wire`]): one length-prefixed binary
+//!   frame format for requests, responses, typed errors, streamed
 //!   [`ProgressUpdate`]s and [`StatsSnapshot`]s, plus ECO deltas against
 //!   a cached baseline ([`delta`]);
 //! - a blocking **client** ([`ServeClient`]) with pipelining, progress
@@ -31,9 +31,8 @@
 //!   halo-exchange round — the routed stack is bit-identical to a
 //!   direct [`VolumetricDiffusion`](dpm_diffusion::VolumetricDiffusion)
 //!   run at any K, in-process or over TCP. The [`wire`] format carries
-//!   the tier axis as an optional trailing extension, so planar frames
-//!   are byte-identical to pre-volumetric ones and legacy frames decode
-//!   as 2D jobs.
+//!   the tier axis in optional tagged sections, so a planar job sends
+//!   none of them.
 //!
 //! Determinism survives the wire: `f64` values travel as IEEE-754 bit
 //! patterns, so a round trip through a server produces placements

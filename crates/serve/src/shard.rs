@@ -71,7 +71,7 @@ pub enum ShardBackend {
     /// process.
     InProcess,
     /// Send the sub-problem to the server at this address through a
-    /// [`ServeClient`].
+    /// [`ServeClient`], in the binary payload encoding.
     Tcp(SocketAddr),
 }
 
@@ -89,8 +89,6 @@ pub struct ShardRouterConfig {
     /// over all shards). With one shard a single round runs — there is
     /// no neighbor state to exchange.
     pub max_halo_rounds: usize,
-    /// Payload encoding for TCP backends.
-    pub encoding: PayloadEncoding,
 }
 
 impl Default for ShardRouterConfig {
@@ -99,7 +97,6 @@ impl Default for ShardRouterConfig {
             shards: 2,
             halo_bins: 2,
             max_halo_rounds: 4,
-            encoding: PayloadEncoding::Binary,
         }
     }
 }
@@ -375,16 +372,13 @@ impl ShardRouter {
                         let partition = &partition;
                         let owners = &owners;
                         let working = &working;
-                        let encoding = self.cfg.encoding;
                         let shard_trace = round_trace
                             .as_ref()
                             .map(|(_, _, dispatch)| (recorder_ref.unwrap(), dispatch[shard]));
                         scope.spawn(move || {
                             partition
                                 .extract_problem(shard, &req.netlist, &req.die, working, owners)
-                                .map(|problem| {
-                                    run_shard(backend, req, problem, encoding, shard_trace)
-                                })
+                                .map(|problem| run_shard(backend, req, problem, shard_trace))
                         })
                     })
                     .collect();
@@ -415,9 +409,7 @@ impl ShardRouter {
                     });
                     let retry = partition
                         .extract_problem(shard, &req.netlist, &req.die, &working, &owners)
-                        .map(|problem| {
-                            run_shard(spare, req, problem, self.cfg.encoding, retry_trace)
-                        });
+                        .map(|problem| run_shard(spare, req, problem, retry_trace));
                     match retry {
                         Some(run) if run.error.is_none() => {
                             failovers.push(ShardFailover {
@@ -565,11 +557,10 @@ fn run_shard(
     backend: ShardBackend,
     req: &JobRequest,
     problem: ShardProblem,
-    encoding: PayloadEncoding,
     trace: Option<(&SpanRecorder, TraceContext)>,
 ) -> ShardRun {
     let dispatch_start = trace.map(|(recorder, _)| recorder.now_ns());
-    let mut run = run_shard_inner(backend, req, problem, encoding, trace.map(|(_, ctx)| ctx));
+    let mut run = run_shard_inner(backend, req, problem, trace.map(|(_, ctx)| ctx));
     if let (Some((recorder, ctx)), Some(start)) = (trace, dispatch_start) {
         recorder.record_traced("shard.dispatch", start, recorder.now_ns(), ctx);
         rebase_spans(&mut run.spans, start);
@@ -581,7 +572,6 @@ fn run_shard_inner(
     backend: ShardBackend,
     req: &JobRequest,
     problem: ShardProblem,
-    encoding: PayloadEncoding,
     trace: Option<TraceContext>,
 ) -> ShardRun {
     let started = Instant::now();
@@ -636,7 +626,7 @@ fn run_shard_inner(
                 .map_err(|e| format!("connect {addr}: {e}"))
                 .and_then(|mut client| {
                     client
-                        .request_streaming(&sub, encoding, |_| progress_frames += 1)
+                        .request_streaming(&sub, PayloadEncoding::Binary, |_| progress_frames += 1)
                         .map_err(|e| format!("transport: {e}"))
                 });
             let service_ns = started.elapsed().as_nanos() as u64;

@@ -1,4 +1,4 @@
-//! Versioned, length-prefixed wire codec for legalization requests.
+//! Length-prefixed wire codec for legalization requests.
 //!
 //! Every frame on the stream is self-describing:
 //!
@@ -15,15 +15,35 @@
 //! partial failure), a [`ProgressUpdate`] (server → client, streamed
 //! mid-job when the request asked for a progress stride), a stats
 //! request (client → server, empty payload) and a [`StatsSnapshot`]
-//! (server → client). Version 3 adds the four control-plane kinds: a
-//! [`PutDesign`] upload (client → server) answered by a [`DesignAck`],
-//! and a [`DeltaJobRequest`](crate::delta::DeltaJobRequest) naming a
-//! cached baseline by content hash, answered either by the usual
-//! terminal reply or by a typed [`NeedDesign`] cache miss.
+//! (server → client). The four control-plane kinds: a [`PutDesign`]
+//! upload (client → server) answered by a [`DesignAck`], and a
+//! [`DeltaJobRequest`](crate::delta::DeltaJobRequest) naming a cached
+//! baseline by content hash, answered either by the usual terminal
+//! reply or by a typed [`NeedDesign`] cache miss.
 //! All integers are little-endian; `f64` values travel as their
 //! IEEE-754 bit patterns, so a decoded placement is *bit-identical* to
 //! the encoded one — the server-side diffusion result is exactly the
 //! result of a local call.
+//!
+//! There is one frame format: a header carrying any version but
+//! [`VERSION`] is refused with [`WireError::UnsupportedVersion`]. Every
+//! payload is its fixed positional core fields followed by zero or more
+//! *sections*, each `tag: u8 · len: u32 · len bytes`. An optional field
+//! is present exactly when its section is. Three frames carry
+//! sections:
+//!
+//! | tag | section              | request | delta request | response |
+//! |-----|----------------------|---------|---------------|----------|
+//! | 1   | volumetric body      | yes     |               | yes      |
+//! | 2   | vol `exact_steps`    | yes     |               |          |
+//! | 3   | vol density field    | yes     |               | yes      |
+//! | 4   | trace context / span export | context | context | span export |
+//!
+//! Decoders refuse, as [`WireError::Malformed`]: tags that do not
+//! strictly ascend (so every encoding is canonical and no tag repeats),
+//! a tag the frame does not allow, a section whose reader does not
+//! consume exactly `len` bytes or whose `len` overruns the payload, and
+//! an `exact_steps` or field section without the volumetric body.
 //!
 //! Progress frames are strictly informational: a client that only reads
 //! until the terminal Response/Error frame can skip them (that is what
@@ -52,20 +72,8 @@ use dpm_place::{Die, Placement};
 /// Migration Serve").
 pub const MAGIC: [u8; 4] = *b"DPMS";
 
-/// Current codec version. Decoders accept any version in
-/// [`MIN_VERSION`]`..=`[`VERSION`].
-/// Version 2 added the Progress/StatsRequest/Stats frame kinds and the
-/// request's `design` name and `progress_stride` fields. Version 3 adds
-/// the control-plane frame kinds (PutDesign / DesignAck / DeltaRequest
-/// / NeedDesign) without touching any v2 payload layout — a v2 frame
-/// decodes byte-for-byte on a v3 server, and servers echo the version a
-/// request arrived with on its replies so v2 clients never see a v3
-/// header.
-pub const VERSION: u16 = 3;
-
-/// Oldest codec version decoders still accept. Version 2 payloads are
-/// a strict subset of version 3, so both decode with the same code.
-pub const MIN_VERSION: u16 = 2;
+/// The codec version, the only one decoders accept.
+pub const VERSION: u16 = 4;
 
 /// Default cap on a single frame's payload length (64 MiB) — a guard
 /// against unbounded allocation from a hostile or corrupt peer.
@@ -138,64 +146,55 @@ pub(crate) fn malformed(context: &'static str, message: impl Into<String>) -> Wi
     }
 }
 
-/// What kind of payload a frame carries.
+/// What kind of payload a frame carries; the discriminant is the kind
+/// byte of the frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FrameKind {
     /// A [`JobRequest`].
-    Request,
+    Request = 1,
     /// A [`JobResponse`].
-    Response,
+    Response = 2,
     /// An [`ErrorReply`].
-    Error,
+    Error = 3,
     /// A [`ProgressUpdate`] streamed mid-job before the terminal reply.
-    Progress,
+    Progress = 4,
     /// A client's request for a [`StatsSnapshot`]; empty payload.
-    StatsRequest,
+    StatsRequest = 5,
     /// A [`StatsSnapshot`] answering a stats request.
-    Stats,
-    /// (v3) A [`PutDesign`]: a full design upload keyed by its FNV
+    Stats = 6,
+    /// A [`PutDesign`]: a full design upload keyed by its FNV
     /// content hash, populating the server's design cache.
-    PutDesign,
-    /// (v3) A [`DesignAck`] answering a design upload.
-    DesignAck,
-    /// (v3) A [`DeltaJobRequest`](crate::delta::DeltaJobRequest): a job
+    PutDesign = 7,
+    /// A [`DesignAck`] answering a design upload.
+    DesignAck = 8,
+    /// A [`DeltaJobRequest`](crate::delta::DeltaJobRequest): a job
     /// naming a cached baseline by hash plus an ECO delta against it.
-    DeltaRequest,
-    /// (v3) A [`NeedDesign`]: the named baseline is not cached; the
+    DeltaRequest = 9,
+    /// A [`NeedDesign`]: the named baseline is not cached; the
     /// client must upload it with a [`PutDesign`] and retry.
-    NeedDesign,
+    NeedDesign = 10,
 }
 
 impl FrameKind {
-    fn to_u8(self) -> u8 {
-        match self {
-            FrameKind::Request => 1,
-            FrameKind::Response => 2,
-            FrameKind::Error => 3,
-            FrameKind::Progress => 4,
-            FrameKind::StatsRequest => 5,
-            FrameKind::Stats => 6,
-            FrameKind::PutDesign => 7,
-            FrameKind::DesignAck => 8,
-            FrameKind::DeltaRequest => 9,
-            FrameKind::NeedDesign => 10,
-        }
-    }
+    const ALL: [FrameKind; 10] = [
+        FrameKind::Request,
+        FrameKind::Response,
+        FrameKind::Error,
+        FrameKind::Progress,
+        FrameKind::StatsRequest,
+        FrameKind::Stats,
+        FrameKind::PutDesign,
+        FrameKind::DesignAck,
+        FrameKind::DeltaRequest,
+        FrameKind::NeedDesign,
+    ];
 
     fn from_u8(b: u8) -> Result<Self, WireError> {
-        match b {
-            1 => Ok(FrameKind::Request),
-            2 => Ok(FrameKind::Response),
-            3 => Ok(FrameKind::Error),
-            4 => Ok(FrameKind::Progress),
-            5 => Ok(FrameKind::StatsRequest),
-            6 => Ok(FrameKind::Stats),
-            7 => Ok(FrameKind::PutDesign),
-            8 => Ok(FrameKind::DesignAck),
-            9 => Ok(FrameKind::DeltaRequest),
-            10 => Ok(FrameKind::NeedDesign),
-            k => Err(WireError::UnknownFrameKind(k)),
-        }
+        Self::ALL
+            .into_iter()
+            .find(|&k| k as u8 == b)
+            .ok_or(WireError::UnknownFrameKind(b))
     }
 }
 
@@ -204,13 +203,12 @@ impl FrameKind {
 pub struct Frame {
     /// Frame kind byte, already validated.
     pub kind: FrameKind,
-    /// Codec version the frame arrived with (in
-    /// [`MIN_VERSION`]`..=`[`VERSION`]). Servers echo it on replies so
-    /// old clients never see a header newer than what they speak.
-    pub version: u16,
     /// Undecoded payload bytes.
     pub payload: Vec<u8>,
 }
+
+/// Length of a frame header: magic, version, kind and payload length.
+const HEADER_LEN: usize = 11;
 
 /// Writes one frame (header + payload) to `w`.
 ///
@@ -220,37 +218,40 @@ pub struct Frame {
 /// [`WireError::FrameTooLarge`] if the payload cannot be described by a
 /// `u32` length.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), WireError> {
-    write_frame_versioned(w, VERSION, kind, payload)
-}
-
-/// Writes one frame stamped with an explicit codec `version`. Servers
-/// use this to echo the version a request arrived with, so a v2 client
-/// only ever reads v2 headers.
-///
-/// # Errors
-///
-/// Same as [`write_frame`].
-pub fn write_frame_versioned(
-    w: &mut impl Write,
-    version: u16,
-    kind: FrameKind,
-    payload: &[u8],
-) -> Result<(), WireError> {
     if payload.len() > u32::MAX as usize {
         return Err(WireError::FrameTooLarge {
             len: payload.len(),
             max: u32::MAX as usize,
         });
     }
-    let mut header = [0u8; 11];
+    let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&MAGIC);
-    header[4..6].copy_from_slice(&version.to_le_bytes());
-    header[6] = kind.to_u8();
+    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    header[6] = kind as u8;
     header[7..11].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     w.write_all(&header)?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
+}
+
+/// Validates a frame header and returns the frame's kind and payload
+/// length.
+fn parse_header(h: &[u8; HEADER_LEN], max_len: usize) -> Result<(FrameKind, usize), WireError> {
+    let magic = [h[0], h[1], h[2], h[3]];
+    if magic != MAGIC {
+        return Err(WireError::BadMagic(magic));
+    }
+    let version = u16::from_le_bytes([h[4], h[5]]);
+    if version != VERSION {
+        return Err(WireError::UnsupportedVersion(version));
+    }
+    let kind = FrameKind::from_u8(h[6])?;
+    let len = u32::from_le_bytes([h[7], h[8], h[9], h[10]]) as usize;
+    if len > max_len {
+        return Err(WireError::FrameTooLarge { len, max: max_len });
+    }
+    Ok((kind, len))
 }
 
 /// How many consecutive mid-frame read timeouts [`read_frame`] tolerates
@@ -326,28 +327,12 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Option<Frame>, Wi
             Err(e) => return Err(e.into()),
         }
     }
-    let mut rest = [0u8; 10];
-    read_full(r, &mut rest, "frame header")?;
-    let magic = [first[0], rest[0], rest[1], rest[2]];
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let version = u16::from_le_bytes([rest[3], rest[4]]);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let kind = FrameKind::from_u8(rest[5])?;
-    let len = u32::from_le_bytes([rest[6], rest[7], rest[8], rest[9]]) as usize;
-    if len > max_len {
-        return Err(WireError::FrameTooLarge { len, max: max_len });
-    }
+    let mut header = [first[0]; HEADER_LEN];
+    read_full(r, &mut header[1..], "frame header")?;
+    let (kind, len) = parse_header(&header, max_len)?;
     let mut payload = vec![0u8; len];
     read_full(r, &mut payload, "frame payload")?;
-    Ok(Some(Frame {
-        kind,
-        version,
-        payload,
-    }))
+    Ok(Some(Frame { kind, payload }))
 }
 
 /// Incremental frame parser for non-blocking streams: feed bytes as
@@ -395,32 +380,16 @@ impl FrameAssembler {
     /// the stream position is unknown; drop the connection.
     pub fn next_frame(&mut self, max_len: usize) -> Result<Option<Frame>, WireError> {
         let avail = &self.buf[self.pos..];
-        if avail.len() < 11 {
+        let Some(header) = avail.first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        let magic = [avail[0], avail[1], avail[2], avail[3]];
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        let version = u16::from_le_bytes([avail[4], avail[5]]);
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(WireError::UnsupportedVersion(version));
-        }
-        let kind = FrameKind::from_u8(avail[6])?;
-        let len = u32::from_le_bytes([avail[7], avail[8], avail[9], avail[10]]) as usize;
-        if len > max_len {
-            return Err(WireError::FrameTooLarge { len, max: max_len });
-        }
-        if avail.len() < 11 + len {
+        };
+        let (kind, len) = parse_header(header, max_len)?;
+        let Some(payload) = avail.get(HEADER_LEN..HEADER_LEN + len) else {
             return Ok(None);
-        }
-        let payload = avail[11..11 + len].to_vec();
-        self.pos += 11 + len;
-        Ok(Some(Frame {
-            kind,
-            version,
-            payload,
-        }))
+        };
+        let payload = payload.to_vec();
+        self.pos += HEADER_LEN + len;
+        Ok(Some(Frame { kind, payload }))
     }
 }
 
@@ -443,6 +412,12 @@ pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
 pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
+}
+fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
+    put_u32(buf, vs.len() as u32);
+    for &v in vs {
+        put_f64(buf, v);
+    }
 }
 
 /// A fallible little-endian reader over a payload slice.
@@ -489,12 +464,44 @@ impl<'a> Cur<'a> {
         let len = self.u32(context)? as usize;
         // A string cannot be longer than the bytes that remain; this also
         // rejects absurd lengths before allocating.
-        if len > self.buf.len() - self.pos {
+        if len > self.remaining() {
             return Err(WireError::Truncated { context });
         }
         let bytes = self.take(len, context)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| malformed(context, "string is not valid UTF-8"))
+    }
+
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Reads a `u32` element count, refusing one that the remaining
+    /// bytes cannot hold at `min_len` bytes per element — so a corrupt
+    /// count is rejected before it can size an allocation.
+    pub(crate) fn count(
+        &mut self,
+        min_len: usize,
+        context: &'static str,
+    ) -> Result<usize, WireError> {
+        let n = self.u32(context)? as usize;
+        if n > self.remaining() / min_len {
+            return Err(malformed(
+                context,
+                format!("{n} entries cannot fit {} bytes", self.remaining()),
+            ));
+        }
+        Ok(n)
+    }
+
+    /// Reads a counted `f64` array.
+    fn f64s(&mut self, context: &'static str) -> Result<Vec<f64>, WireError> {
+        let n = self.count(8, context)?;
+        let bytes = self.take(8 * n, context)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect())
     }
 
     pub(crate) fn finish(&self, context: &'static str) -> Result<(), WireError> {
@@ -503,6 +510,91 @@ impl<'a> Cur<'a> {
         }
         Ok(())
     }
+}
+
+// ---------------------------------------------------------------------------
+// Sections: the optional fields after a payload's core fields.
+// ---------------------------------------------------------------------------
+
+/// Section tag: the volumetric body (request: tier region and depths;
+/// response: depths).
+const TAG_VOL: u8 = 1;
+/// Section tag: the request's volumetric `exact_steps`.
+const TAG_EXACT_STEPS: u8 = 2;
+/// Section tag: a plane-major volumetric density field.
+const TAG_FIELD: u8 = 3;
+/// Section tag: a trace context (requests) or a span export (responses).
+pub(crate) const TAG_TRACE: u8 = 4;
+
+/// Appends one section: its tag, its length, then the body `write`
+/// produces.
+pub(crate) fn put_section(buf: &mut Vec<u8>, tag: u8, write: impl FnOnce(&mut Vec<u8>)) {
+    put_u8(buf, tag);
+    let at = buf.len();
+    put_u32(buf, 0);
+    write(buf);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Reads every section left in `cur`, handing each body to `read` as a
+/// cursor of its own. Tags must strictly ascend and belong to
+/// `allowed`, each `len` must fit the payload, and `read` must consume
+/// exactly `len` bytes; anything else is [`WireError::Malformed`].
+pub(crate) fn take_sections<'a>(
+    cur: &mut Cur<'a>,
+    allowed: &[u8],
+    context: &'static str,
+    mut read: impl FnMut(u8, &mut Cur<'a>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let mut last = 0;
+    while cur.remaining() > 0 {
+        let tag = cur.u8(context)?;
+        if !allowed.contains(&tag) {
+            return Err(malformed(context, format!("tag {tag} is not allowed here")));
+        }
+        if tag <= last {
+            return Err(malformed(
+                context,
+                format!("tag {tag} follows tag {last}; tags must strictly ascend"),
+            ));
+        }
+        last = tag;
+        let len = cur.u32(context)? as usize;
+        if len > cur.remaining() {
+            return Err(malformed(
+                context,
+                format!("section {tag} of {len} bytes overruns the payload"),
+            ));
+        }
+        let mut body = Cur::new(cur.take(len, context)?);
+        match read(tag, &mut body) {
+            Err(WireError::Truncated { .. }) => {
+                return Err(malformed(
+                    context,
+                    format!("section {tag} is shorter than its fields"),
+                ))
+            }
+            result => result?,
+        }
+        if body.remaining() > 0 {
+            return Err(malformed(
+                context,
+                format!("section {tag} has {} unread bytes", body.remaining()),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The volumetric body an `exact_steps` or field section extends.
+fn vol_body<'v, T>(
+    vol: &'v mut Option<T>,
+    tag: u8,
+    context: &'static str,
+) -> Result<&'v mut T, WireError> {
+    vol.as_mut()
+        .ok_or_else(|| malformed(context, format!("section {tag} without the vol section")))
 }
 
 // ---------------------------------------------------------------------------
@@ -556,20 +648,15 @@ pub struct JobRequest {
     pub die: Die,
     /// Cell positions to legalize.
     pub placement: Placement,
-    /// Optional volumetric (3D) dimension extension. `None` is a plain
-    /// planar job and encodes byte-for-byte like a pre-volumetric frame.
+    /// Optional volumetric (3D) dimension extension; `None` is a plain
+    /// planar job.
     pub vol: Option<VolRequestExt>,
-    /// Optional distributed-trace context. Rides the shared trailing
-    /// extension-flags byte (see [`encode_request`]); `None` encodes
-    /// byte-for-byte like a pre-tracing frame.
+    /// Optional distributed-trace context.
     pub trace: Option<TraceContext>,
 }
 
-/// The volumetric dimension extension of a [`JobRequest`].
-///
-/// Rides as an optional trailing block *after* the trailing solver byte,
-/// so planar requests stay byte-identical to pre-volumetric frames and
-/// legacy dimension-less frames decode as 2D jobs.
+/// The volumetric dimension extension of a [`JobRequest`]: the vol
+/// section, plus the `exact_steps` and field sections when set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VolRequestExt {
     /// Tiers in the shipped region (the whole stack for direct runs).
@@ -604,6 +691,7 @@ pub(crate) fn put_config(buf: &mut Vec<u8>, c: &DiffusionConfig) {
     put_f64(buf, c.max_step_displacement);
     put_u8(buf, c.paper_boundaries as u8);
     put_u64(buf, c.threads as u64);
+    put_u8(buf, c.solver as u8);
 }
 
 pub(crate) fn take_config(cur: &mut Cur<'_>) -> Result<DiffusionConfig, WireError> {
@@ -623,24 +711,59 @@ pub(crate) fn take_config(cur: &mut Cur<'_>) -> Result<DiffusionConfig, WireErro
         max_step_displacement: cur.f64("config.max_step_displacement")?,
         paper_boundaries: cur.u8("config.paper_boundaries")? != 0,
         threads: cur.u64("config.threads")? as usize,
-        // The solver kind travels as an *optional trailing byte* of the
-        // request payload (see `encode_request`), not inside the config
-        // block, so that v2 frames from pre-spectral clients still decode.
-        // Explicitly Ftcs here — never `Default`, which consults the
-        // server process's `DPM_SOLVER` environment.
-        solver: SolverKind::Ftcs,
+        solver: match cur.u8("config.solver")? {
+            0 => SolverKind::Ftcs,
+            1 => SolverKind::Spectral,
+            k => {
+                return Err(malformed(
+                    "config.solver",
+                    format!("unknown solver kind {k}"),
+                ))
+            }
+        },
     })
 }
 
-pub(crate) fn solver_kind_from_u8(b: u8) -> Result<SolverKind, WireError> {
-    match b {
-        0 => Ok(SolverKind::Ftcs),
-        1 => Ok(SolverKind::Spectral),
-        k => Err(malformed(
-            "request.solver",
-            format!("unknown solver kind {k}"),
-        )),
-    }
+/// The fields a full and a delta request share, in wire order.
+pub(crate) struct JobHead {
+    pub(crate) id: u64,
+    pub(crate) deadline_ms: u32,
+    pub(crate) progress_stride: u32,
+    pub(crate) kind: JobKind,
+    pub(crate) design: String,
+    pub(crate) config: DiffusionConfig,
+}
+
+pub(crate) fn put_job_head(
+    buf: &mut Vec<u8>,
+    id: u64,
+    deadline_ms: u32,
+    progress_stride: u32,
+    kind: JobKind,
+    design: &str,
+    config: &DiffusionConfig,
+) {
+    put_u64(buf, id);
+    put_u32(buf, deadline_ms);
+    put_u32(buf, progress_stride);
+    put_u8(buf, matches!(kind, JobKind::Local) as u8);
+    put_str(buf, design);
+    put_config(buf, config);
+}
+
+pub(crate) fn take_job_head(cur: &mut Cur<'_>) -> Result<JobHead, WireError> {
+    Ok(JobHead {
+        id: cur.u64("job.id")?,
+        deadline_ms: cur.u32("job.deadline_ms")?,
+        progress_stride: cur.u32("job.progress_stride")?,
+        kind: if cur.u8("job.kind")? != 0 {
+            JobKind::Local
+        } else {
+            JobKind::Global
+        },
+        design: cur.str_("job.design")?,
+        config: take_config(cur)?,
+    })
 }
 
 pub(crate) fn cell_kind_to_u8(k: CellKind) -> u8 {
@@ -704,9 +827,10 @@ fn take_binary_design(cur: &mut Cur<'_>) -> Result<(Netlist, Die, Placement), Wi
     let row_height = cur.f64("die.row_height")?;
     let die = checked_die(llx, lly, width, height, row_height)?;
 
-    let num_cells = cur.u32("cells.count")? as usize;
-    let mut b = NetlistBuilder::with_capacity(num_cells.min(1 << 20), 0, 0);
-    let mut positions = Vec::with_capacity(num_cells.min(1 << 20));
+    // name length, width, height, kind, delay, x, y
+    let num_cells = cur.count(4 + 8 + 8 + 1 + 8 + 8 + 8, "cells.count")?;
+    let mut b = NetlistBuilder::with_capacity(num_cells, 0, 0);
+    let mut positions = Vec::with_capacity(num_cells);
     for _ in 0..num_cells {
         let name = cur.str_("cell.name")?;
         let w = cur.f64("cell.width")?;
@@ -787,12 +911,15 @@ fn checked_die(
 /// identical either way.
 pub fn encode_request(req: &JobRequest, encoding: PayloadEncoding) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, req.id);
-    put_u32(&mut buf, req.deadline_ms);
-    put_u32(&mut buf, req.progress_stride);
-    put_u8(&mut buf, matches!(req.kind, JobKind::Local) as u8);
-    put_str(&mut buf, &req.design);
-    put_config(&mut buf, &req.config);
+    put_job_head(
+        &mut buf,
+        req.id,
+        req.deadline_ms,
+        req.progress_stride,
+        req.kind,
+        &req.design,
+        &req.config,
+    );
     match encoding {
         PayloadEncoding::Binary => {
             put_u8(&mut buf, 0);
@@ -807,75 +934,25 @@ pub fn encode_request(req: &JobRequest, encoding: PayloadEncoding) -> Vec<u8> {
             put_str(&mut buf, &design.write_scl());
         }
     }
-    // The solver kind rides as a trailing byte *after* the design payload.
-    // Decoders that predate it stop at the design and would reject the
-    // extra byte, but decoders that know it (this version) accept both
-    // forms: absent ⇒ `SolverKind::Ftcs`. Appending at the tail keeps
-    // every earlier field at its v2 offset.
-    put_u8(&mut buf, req.config.solver as u8);
-    // The volumetric dimension extension stacks on the same trick: it
-    // follows the solver byte, so planar requests (`vol: None`) remain
-    // byte-identical to pre-volumetric frames. Its former flags byte now
-    // doubles as the shared *extension-flags* byte: bits 0/1 keep their
-    // volumetric meanings, bit 2 announces a trailing trace-context
-    // block (after the vol body), and bit 3 says the vol body itself is
-    // absent — a planar traced request. Untraced frames never set bits
-    // 2/3, so every pre-tracing frame is byte-identical.
-    match (&req.vol, &req.trace) {
-        (None, None) => {}
-        (Some(v), trace) => {
-            let mut flags = 0u8;
-            if v.exact_steps.is_some() {
-                flags |= REQ_EXT_EXACT_STEPS;
-            }
-            if v.field.is_some() {
-                flags |= REQ_EXT_FIELD;
-            }
-            if trace.is_some() {
-                flags |= EXT_TRACE;
-            }
-            put_u8(&mut buf, flags);
-            put_u32(&mut buf, v.nz);
-            put_u32(&mut buf, v.z0);
-            put_u32(&mut buf, v.global_nz);
-            if let Some(steps) = v.exact_steps {
-                put_u64(&mut buf, steps);
-            }
-            put_u32(&mut buf, v.z.len() as u32);
-            for &z in &v.z {
-                put_f64(&mut buf, z);
-            }
-            if let Some(field) = &v.field {
-                put_u64(&mut buf, field.len() as u64);
-                for &d in field {
-                    put_f64(&mut buf, d);
-                }
-            }
-            if let Some(t) = trace {
-                put_trace(&mut buf, t);
-            }
+    if let Some(v) = &req.vol {
+        put_section(&mut buf, TAG_VOL, |b| {
+            put_u32(b, v.nz);
+            put_u32(b, v.z0);
+            put_u32(b, v.global_nz);
+            put_f64s(b, &v.z);
+        });
+        if let Some(steps) = v.exact_steps {
+            put_section(&mut buf, TAG_EXACT_STEPS, |b| put_u64(b, steps));
         }
-        (None, Some(t)) => {
-            put_u8(&mut buf, EXT_NO_VOL | EXT_TRACE);
-            put_trace(&mut buf, t);
+        if let Some(field) = &v.field {
+            put_section(&mut buf, TAG_FIELD, |b| put_f64s(b, field));
         }
+    }
+    if let Some(t) = &req.trace {
+        put_section(&mut buf, TAG_TRACE, |b| put_trace(b, t));
     }
     buf
 }
-
-/// Extension-flags bit: the volumetric body carries `exact_steps`
-/// (request only).
-const REQ_EXT_EXACT_STEPS: u8 = 1 << 0;
-/// Extension-flags bit: the volumetric body carries a density field.
-const REQ_EXT_FIELD: u8 = 1 << 1;
-/// Extension-flags bit: a trace block follows the (possibly absent)
-/// volumetric body. Shared by requests and responses; on a response the
-/// block is a span export rather than a context.
-const EXT_TRACE: u8 = 1 << 2;
-/// Extension-flags bit: the volumetric body is absent (planar traced
-/// frame). Requires [`EXT_TRACE`] — a frame with no vol body and no
-/// trace encodes as no extension at all.
-const EXT_NO_VOL: u8 = 1 << 3;
 
 /// Writes a 24-byte trace-context block.
 pub(crate) fn put_trace(buf: &mut Vec<u8>, t: &TraceContext) {
@@ -899,31 +976,8 @@ pub(crate) fn take_trace(cur: &mut Cur<'_>) -> Result<TraceContext, WireError> {
     })
 }
 
-/// Validates a request/response extension-flags byte against `allowed`.
-fn check_ext_flags(flags: u8, allowed: u8, context: &'static str) -> Result<(), WireError> {
-    if flags & !allowed != 0 {
-        return Err(malformed(context, format!("unknown flag bits {flags:#x}")));
-    }
-    if flags & EXT_NO_VOL != 0 {
-        if flags & (REQ_EXT_EXACT_STEPS | REQ_EXT_FIELD) != 0 {
-            return Err(malformed(
-                context,
-                format!("vol-absent flag with vol body bits {flags:#x}"),
-            ));
-        }
-        if flags & EXT_TRACE == 0 {
-            return Err(malformed(
-                context,
-                "vol-absent flag without a trace block is non-canonical",
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Decodes the volumetric extension body, cursor already past the
-/// extension-flags byte (validated by the caller).
-fn take_vol_request(cur: &mut Cur<'_>, flags: u8) -> Result<VolRequestExt, WireError> {
+/// Decodes a request's vol section: the tier region and the depths.
+fn take_vol_request(cur: &mut Cur<'_>) -> Result<VolRequestExt, WireError> {
     let nz = cur.u32("vol.nz")?;
     let z0 = cur.u32("vol.z0")?;
     let global_nz = cur.u32("vol.global_nz")?;
@@ -933,33 +987,13 @@ fn take_vol_request(cur: &mut Cur<'_>, flags: u8) -> Result<VolRequestExt, WireE
             format!("degenerate tier region [{z0}, {z0}+{nz}) of {global_nz}"),
         ));
     }
-    let exact_steps = if flags & 1 != 0 {
-        Some(cur.u64("vol.exact_steps")?)
-    } else {
-        None
-    };
-    let n = cur.u32("vol.z.count")? as usize;
-    let mut z = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        z.push(cur.f64("vol.z")?);
-    }
-    let field = if flags & 2 != 0 {
-        let len = cur.u64("vol.field.len")? as usize;
-        let mut field = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            field.push(cur.f64("vol.field")?);
-        }
-        Some(field)
-    } else {
-        None
-    };
     Ok(VolRequestExt {
         nz,
         z0,
         global_nz,
-        exact_steps,
-        z,
-        field,
+        exact_steps: None,
+        z: cur.f64s("vol.z")?,
+        field: None,
     })
 }
 
@@ -970,21 +1004,19 @@ fn take_vol_request(cur: &mut Cur<'_>, flags: u8) -> Result<VolRequestExt, WireE
 /// Returns [`WireError::Truncated`] when the payload ends early and
 /// [`WireError::Malformed`] when it decodes to an invalid design
 /// (degenerate die, pin referencing a missing cell, Bookshelf text that
-/// does not parse, …). Never panics on adversarial input.
+/// does not parse, …) or breaks a section rule. Never panics on
+/// adversarial input.
 pub fn decode_request(payload: &[u8]) -> Result<JobRequest, WireError> {
     let mut cur = Cur::new(payload);
-    let id = cur.u64("request.id")?;
-    let deadline_ms = cur.u32("request.deadline_ms")?;
-    let progress_stride = cur.u32("request.progress_stride")?;
-    let kind = if cur.u8("request.kind")? != 0 {
-        JobKind::Local
-    } else {
-        JobKind::Global
-    };
-    let design = cur.str_("request.design")?;
-    let config = take_config(&mut cur)?;
-    let encoding = cur.u8("request.encoding")?;
-    let (netlist, die, placement) = match encoding {
+    let JobHead {
+        id,
+        deadline_ms,
+        progress_stride,
+        kind,
+        design,
+        config,
+    } = take_job_head(&mut cur)?;
+    let (netlist, die, placement) = match cur.u8("request.encoding")? {
         0 => take_binary_design(&mut cur)?,
         1 => {
             let nodes = cur.str_("bookshelf.nodes")?;
@@ -1002,33 +1034,23 @@ pub fn decode_request(payload: &[u8]) -> Result<JobRequest, WireError> {
             ))
         }
     };
-    // Optional trailing solver byte: v2 frames from pre-spectral clients
-    // end exactly at the design payload and decode as FTCS.
-    let mut config = config;
-    if cur.pos < cur.buf.len() {
-        config.solver = solver_kind_from_u8(cur.u8("request.solver")?)?;
-    }
-    // Optional extensions after the solver byte: dimension-less frames
-    // end here and decode as planar (2D), untraced jobs. Otherwise one
-    // extension-flags byte announces the volumetric body and/or a
-    // trailing trace-context block.
     let mut vol = None;
     let mut trace = None;
-    if cur.pos < cur.buf.len() {
-        let flags = cur.u8("request.ext.flags")?;
-        check_ext_flags(
-            flags,
-            REQ_EXT_EXACT_STEPS | REQ_EXT_FIELD | EXT_TRACE | EXT_NO_VOL,
-            "request.ext.flags",
-        )?;
-        if flags & EXT_NO_VOL == 0 {
-            vol = Some(take_vol_request(&mut cur, flags)?);
+    let tags = [TAG_VOL, TAG_EXACT_STEPS, TAG_FIELD, TAG_TRACE];
+    take_sections(&mut cur, &tags, "request.section", |tag, s| {
+        match tag {
+            TAG_VOL => vol = Some(take_vol_request(s)?),
+            TAG_EXACT_STEPS => {
+                vol_body(&mut vol, tag, "request.section")?.exact_steps =
+                    Some(s.u64("vol.exact_steps")?)
+            }
+            TAG_FIELD => {
+                vol_body(&mut vol, tag, "request.section")?.field = Some(s.f64s("vol.field")?)
+            }
+            _ => trace = Some(take_trace(s)?),
         }
-        if flags & EXT_TRACE != 0 {
-            trace = Some(take_trace(&mut cur)?);
-        }
-    }
-    cur.finish("request")?;
+        Ok(())
+    })?;
     Ok(JobRequest {
         id,
         deadline_ms,
@@ -1069,15 +1091,13 @@ pub struct JobResponse {
     pub service_ns: u64,
     /// Final position of every cell, in netlist cell-id order.
     pub positions: Vec<Point>,
-    /// Optional volumetric (3D) extension. `None` is a planar reply and
-    /// encodes byte-for-byte like a pre-volumetric frame.
+    /// Optional volumetric (3D) extension; `None` is a planar reply.
     pub vol: Option<VolResponseExt>,
     /// Spans this backend recorded for the job, exported when the
     /// request carried a trace context. Timestamps are normalized so
     /// the earliest start is zero (see [`dpm_obs::normalize_spans`]);
     /// the receiver re-bases them under its own dispatch span. All
-    /// records share one trace id. Empty encodes byte-for-byte like a
-    /// pre-tracing frame.
+    /// records share one trace id. Empty sends no span export.
     pub spans: Vec<SpanRecord>,
 }
 
@@ -1107,35 +1127,14 @@ pub fn encode_response(resp: &JobResponse) -> Vec<u8> {
         put_f64(&mut buf, p.x);
         put_f64(&mut buf, p.y);
     }
-    // Extensions, mirroring the request: one shared flags byte, the
-    // volumetric body, then the span export. Planar untraced replies
-    // stay byte-identical to pre-volumetric frames.
-    match (&resp.vol, resp.spans.is_empty()) {
-        (None, true) => {}
-        (Some(v), spans_empty) => {
-            let mut flags = if v.field.is_some() { REQ_EXT_FIELD } else { 0 };
-            if !spans_empty {
-                flags |= EXT_TRACE;
-            }
-            put_u8(&mut buf, flags);
-            put_u32(&mut buf, v.z.len() as u32);
-            for &z in &v.z {
-                put_f64(&mut buf, z);
-            }
-            if let Some(field) = &v.field {
-                put_u64(&mut buf, field.len() as u64);
-                for &d in field {
-                    put_f64(&mut buf, d);
-                }
-            }
-            if !spans_empty {
-                put_spans(&mut buf, &resp.spans);
-            }
+    if let Some(v) = &resp.vol {
+        put_section(&mut buf, TAG_VOL, |b| put_f64s(b, &v.z));
+        if let Some(field) = &v.field {
+            put_section(&mut buf, TAG_FIELD, |b| put_f64s(b, field));
         }
-        (None, false) => {
-            put_u8(&mut buf, EXT_TRACE | EXT_NO_VOL);
-            put_spans(&mut buf, &resp.spans);
-        }
+    }
+    if !resp.spans.is_empty() {
+        put_section(&mut buf, TAG_TRACE, |b| put_spans(b, &resp.spans));
     }
     buf
 }
@@ -1162,9 +1161,8 @@ const SPAN_RECORD_MIN_LEN: usize = 4 + 8 * 4;
 /// Reads a span-export block.
 fn take_spans(cur: &mut Cur<'_>) -> Result<Vec<SpanRecord>, WireError> {
     let trace_id = cur.u64("spans.trace_id")?;
-    let n = cur.u32("spans.count")? as usize;
-    let remaining = cur.buf.len() - cur.pos;
-    let mut spans = Vec::with_capacity(n.min(remaining / SPAN_RECORD_MIN_LEN));
+    let n = cur.count(SPAN_RECORD_MIN_LEN, "spans.count")?;
+    let mut spans = Vec::with_capacity(n);
     for _ in 0..n {
         let name = cur.str_("span.name")?;
         let span_id = cur.u64("span.span_id")?;
@@ -1202,45 +1200,37 @@ pub fn decode_response(payload: &[u8]) -> Result<JobResponse, WireError> {
     let max_movement = cur.f64("response.max_movement")?;
     let queue_ns = cur.u64("response.queue_ns")?;
     let service_ns = cur.u64("response.service_ns")?;
-    let n = cur.u32("response.positions.count")? as usize;
-    let mut positions = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let x = cur.f64("response.position.x")?;
-        let y = cur.f64("response.position.y")?;
-        positions.push(Point::new(x, y));
-    }
+    let n = cur.count(16, "response.positions.count")?;
+    let positions = cur
+        .take(16 * n, "response.positions")?
+        .chunks_exact(16)
+        .map(|b| {
+            let (x, y) = b.split_at(8);
+            Point::new(
+                f64::from_le_bytes(x.try_into().expect("8 bytes")),
+                f64::from_le_bytes(y.try_into().expect("8 bytes")),
+            )
+        })
+        .collect();
     let mut vol = None;
     let mut spans = Vec::new();
-    if cur.pos < cur.buf.len() {
-        let flags = cur.u8("response.ext.flags")?;
-        check_ext_flags(
-            flags,
-            REQ_EXT_FIELD | EXT_TRACE | EXT_NO_VOL,
-            "response.ext.flags",
-        )?;
-        if flags & EXT_NO_VOL == 0 {
-            let nz = cur.u32("response.vol.z.count")? as usize;
-            let mut z = Vec::with_capacity(nz.min(1 << 20));
-            for _ in 0..nz {
-                z.push(cur.f64("response.vol.z")?);
+    let tags = [TAG_VOL, TAG_FIELD, TAG_TRACE];
+    take_sections(&mut cur, &tags, "response.section", |tag, s| {
+        match tag {
+            TAG_VOL => {
+                vol = Some(VolResponseExt {
+                    z: s.f64s("response.vol.z")?,
+                    field: None,
+                })
             }
-            let field = if flags & REQ_EXT_FIELD != 0 {
-                let len = cur.u64("response.vol.field.len")? as usize;
-                let mut field = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    field.push(cur.f64("response.vol.field")?);
-                }
-                Some(field)
-            } else {
-                None
-            };
-            vol = Some(VolResponseExt { z, field });
+            TAG_FIELD => {
+                vol_body(&mut vol, tag, "response.section")?.field =
+                    Some(s.f64s("response.vol.field")?)
+            }
+            _ => spans = take_spans(s)?,
         }
-        if flags & EXT_TRACE != 0 {
-            spans = take_spans(&mut cur)?;
-        }
-    }
-    cur.finish("response")?;
+        Ok(())
+    })?;
     Ok(JobResponse {
         id,
         converged,
@@ -1374,8 +1364,7 @@ fn put_histogram(buf: &mut Vec<u8>, h: &HistogramSnapshot) {
 }
 
 fn take_histogram(cur: &mut Cur<'_>) -> Result<HistogramSnapshot, WireError> {
-    let n = cur.u32("histogram.bounds.count")? as usize;
-    // Each bound is 8 bytes; reject before allocating on absurd counts.
+    let n = cur.count(8, "histogram.bounds.count")?;
     if n > 4096 {
         return Err(malformed(
             "histogram",
@@ -1480,47 +1469,42 @@ pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
 // Error reply.
 // ---------------------------------------------------------------------------
 
-/// Why the server could not produce a [`JobResponse`].
+/// Why the server could not produce a [`JobResponse`]; the discriminant
+/// is its wire byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrorCode {
     /// The bounded request queue was full — explicit backpressure; retry
     /// later or slow down.
-    Overloaded,
+    Overloaded = 1,
     /// [`DiffusionConfig::validate`] rejected the request's parameters.
-    InvalidConfig,
+    InvalidConfig = 2,
     /// The request payload did not decode.
-    Malformed,
+    Malformed = 3,
     /// The deadline expired before the run finished. `steps`/`rounds` in
     /// the reply report the partial progress made before cancellation.
-    DeadlineExpired,
+    DeadlineExpired = 4,
     /// The server is shutting down and no longer admits requests.
-    ShuttingDown,
+    ShuttingDown = 5,
     /// The worker failed unexpectedly.
-    Internal,
+    Internal = 6,
 }
 
 impl ErrorCode {
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::Overloaded => 1,
-            ErrorCode::InvalidConfig => 2,
-            ErrorCode::Malformed => 3,
-            ErrorCode::DeadlineExpired => 4,
-            ErrorCode::ShuttingDown => 5,
-            ErrorCode::Internal => 6,
-        }
-    }
+    const ALL: [ErrorCode; 6] = [
+        ErrorCode::Overloaded,
+        ErrorCode::InvalidConfig,
+        ErrorCode::Malformed,
+        ErrorCode::DeadlineExpired,
+        ErrorCode::ShuttingDown,
+        ErrorCode::Internal,
+    ];
 
     fn from_u8(b: u8) -> Result<Self, WireError> {
-        match b {
-            1 => Ok(ErrorCode::Overloaded),
-            2 => Ok(ErrorCode::InvalidConfig),
-            3 => Ok(ErrorCode::Malformed),
-            4 => Ok(ErrorCode::DeadlineExpired),
-            5 => Ok(ErrorCode::ShuttingDown),
-            6 => Ok(ErrorCode::Internal),
-            k => Err(malformed("error.code", format!("unknown error code {k}"))),
-        }
+        Self::ALL
+            .into_iter()
+            .find(|&c| c as u8 == b)
+            .ok_or_else(|| malformed("error.code", format!("unknown error code {b}")))
     }
 
     /// Stable lower-snake name, for logs and error messages.
@@ -1556,7 +1540,7 @@ pub struct ErrorReply {
 pub fn encode_error(err: &ErrorReply) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u64(&mut buf, err.id);
-    put_u8(&mut buf, err.code.to_u8());
+    put_u8(&mut buf, err.code as u8);
     put_u64(&mut buf, err.steps);
     put_u64(&mut buf, err.rounds);
     put_str(&mut buf, &err.message);
@@ -1587,7 +1571,7 @@ pub fn decode_error(payload: &[u8]) -> Result<ErrorReply, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Content-hashed designs (wire v3).
+// Content-hashed designs.
 // ---------------------------------------------------------------------------
 
 /// FNV-1a over `bytes` — the content hash that names cached designs.
@@ -1637,7 +1621,7 @@ pub fn design_hash(netlist: &Netlist, die: &Die, placement: &Placement) -> u64 {
     fnv1a64(&encode_design_bytes(netlist, die, placement))
 }
 
-/// A full design upload (client → server, wire v3): populates the
+/// A full design upload (client → server): populates the
 /// server's content-hash design cache so later requests can ship only
 /// ECO deltas against it.
 #[derive(Debug, Clone)]
@@ -1674,7 +1658,7 @@ pub fn decode_put_design(payload: &[u8]) -> Result<PutDesign, WireError> {
     Ok(PutDesign { id, tenant, bytes })
 }
 
-/// The server's answer to a [`PutDesign`] (wire v3).
+/// The server's answer to a [`PutDesign`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DesignAck {
     /// Echo of the upload id.
@@ -1720,7 +1704,7 @@ pub fn decode_design_ack(payload: &[u8]) -> Result<DesignAck, WireError> {
     Ok(ack)
 }
 
-/// A typed cache-miss reply (server → client, wire v3): the baseline a
+/// A typed cache-miss reply (server → client): the baseline a
 /// delta request named is not resident. The client uploads it with a
 /// [`PutDesign`] and resends the delta request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1765,38 +1749,20 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// Frames this reply for the stream.
-    pub fn to_frame_bytes(&self) -> (FrameKind, Vec<u8>) {
-        match self {
-            Reply::Ok(r) => (FrameKind::Response, encode_response(r)),
-            Reply::Rejected(e) => (FrameKind::Error, encode_error(e)),
-        }
-    }
-
     /// Decodes a reply from a received frame.
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Malformed`] if the frame is not a terminal
-    /// reply (a request, a mid-job progress frame, or a stats frame),
-    /// or any decode error from the payload.
+    /// reply (a request, a mid-job progress frame, a stats or
+    /// control-plane frame), or any decode error from the payload.
     pub fn from_frame(frame: &Frame) -> Result<Self, WireError> {
         match frame.kind {
             FrameKind::Response => Ok(Reply::Ok(decode_response(&frame.payload)?)),
             FrameKind::Error => Ok(Reply::Rejected(decode_error(&frame.payload)?)),
-            FrameKind::Request => Err(malformed("reply", "unexpected request frame")),
-            FrameKind::Progress => Err(malformed("reply", "progress frame is not terminal")),
-            FrameKind::StatsRequest | FrameKind::Stats => {
-                Err(malformed("reply", "stats frame is not a job reply"))
-            }
-            FrameKind::PutDesign | FrameKind::DeltaRequest => Err(malformed(
+            other => Err(malformed(
                 "reply",
-                "control-plane request frame is not a reply",
-            )),
-            FrameKind::DesignAck => Err(malformed("reply", "design ack is not a job reply")),
-            FrameKind::NeedDesign => Err(malformed(
-                "reply",
-                "NeedDesign is not terminal: upload the baseline and resend",
+                format!("{other:?} frame is not a terminal job reply"),
             )),
         }
     }
@@ -1805,6 +1771,31 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Config bytes: five f64, max_steps, two flags, four counters, the
+    /// step clamp, a flag, threads and the solver.
+    const CONFIG_LEN: usize = 5 * 8 + 8 + 2 + 4 * 8 + 8 + 1 + 8 + 1;
+    /// Job-head bytes of [`tiny_request`]: id, deadline, stride, kind,
+    /// the design name "tiny" and the config.
+    const TINY_HEAD_LEN: usize = 8 + 4 + 4 + 1 + (4 + 4) + CONFIG_LEN;
+
+    const CTX: TraceContext = TraceContext {
+        trace_id: 7,
+        span_id: 8,
+        parent_id: 9,
+    };
+
+    /// A two-tier region of a four-tier stack, every optional field set.
+    fn tiny_vol() -> VolRequestExt {
+        VolRequestExt {
+            nz: 2,
+            z0: 1,
+            global_nz: 4,
+            exact_steps: Some(1),
+            z: vec![1.5, 2.25, 3.0 + f64::EPSILON],
+            field: Some((0..32).map(|i| f64::from(i) * 0.125 + 0.001).collect()),
+        }
+    }
 
     fn tiny_request(kind: JobKind) -> JobRequest {
         let mut b = NetlistBuilder::new();
@@ -1837,7 +1828,8 @@ mod tests {
 
     #[test]
     fn binary_request_round_trip_is_exact() {
-        let req = tiny_request(JobKind::Local);
+        let mut req = tiny_request(JobKind::Local);
+        req.config = req.config.with_solver(SolverKind::Spectral);
         let payload = encode_request(&req, PayloadEncoding::Binary);
         let back = decode_request(&payload).expect("decodes");
         assert_eq!(back.id, 77);
@@ -1857,6 +1849,22 @@ mod tests {
             assert_eq!(req.netlist.cell(c).name, back.netlist.cell(c).name);
         }
         assert_eq!(req.die.outline(), back.die.outline());
+        assert!(back.vol.is_none() && back.trace.is_none());
+        // One canonical encoding: the planar decode re-encodes byte for
+        // byte.
+        assert_eq!(encode_request(&back, PayloadEncoding::Binary), payload);
+
+        // The solver is the config's last byte; an unknown discriminant
+        // is malformed, not a panic.
+        let mut bad = payload.clone();
+        bad[TINY_HEAD_LEN - 1] = 7;
+        assert!(matches!(
+            decode_request(&bad),
+            Err(WireError::Malformed {
+                context: "config.solver",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -1874,9 +1882,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn response_round_trip() {
-        let resp = JobResponse {
+    /// A planar, untraced reply.
+    fn tiny_response() -> JobResponse {
+        JobResponse {
             id: 9,
             converged: true,
             steps: 42,
@@ -1888,42 +1896,73 @@ mod tests {
             positions: vec![Point::new(1.5, -2.5), Point::new(0.0, f64::MAX)],
             vol: None,
             spans: Vec::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn response_round_trip() {
+        let resp = tiny_response();
         let back = decode_response(&encode_response(&resp)).expect("decodes");
         assert_eq!(back, resp);
     }
 
-    #[test]
-    fn error_round_trip() {
-        let err = ErrorReply {
+    fn sample_error() -> ErrorReply {
+        ErrorReply {
             id: 3,
             code: ErrorCode::DeadlineExpired,
             steps: 17,
             rounds: 2,
             message: "deadline of 50ms expired".into(),
-        };
-        let back = decode_error(&encode_error(&err)).expect("decodes");
-        assert_eq!(back, err);
+        }
     }
 
-    #[test]
-    fn progress_round_trip() {
-        let p = ProgressUpdate {
+    fn sample_progress() -> ProgressUpdate {
+        ProgressUpdate {
             id: 12,
             step: 340,
             round: 3,
             overflow: 0.75,
             movement: 1234.5,
             max_density: 1.03125,
-        };
+        }
+    }
+
+    fn sample_ack() -> DesignAck {
+        DesignAck {
+            id: 9,
+            hash: 0xdead_beef_cafe_f00d,
+            cached: true,
+            resident_bytes: 123_456,
+            evicted: 3,
+        }
+    }
+
+    fn sample_put() -> PutDesign {
+        let req = tiny_request(JobKind::Global);
+        PutDesign {
+            id: 42,
+            tenant: "acme".into(),
+            bytes: encode_design_bytes(&req.netlist, &req.die, &req.placement),
+        }
+    }
+
+    #[test]
+    fn error_round_trip() {
+        let err = sample_error();
+        let back = decode_error(&encode_error(&err)).expect("decodes");
+        assert_eq!(back, err);
+    }
+
+    #[test]
+    fn progress_round_trip() {
+        let p = sample_progress();
         let back = decode_progress(&encode_progress(&p)).expect("decodes");
         assert_eq!(back, p);
         // Bit-identical f64 travel.
         assert_eq!(back.max_density.to_bits(), p.max_density.to_bits());
     }
 
-    #[test]
-    fn stats_round_trip() {
+    fn sample_stats() -> StatsSnapshot {
         let mut queue_hist = dpm_obs::Histogram::latency_default().snapshot();
         queue_hist.counts[0] = 3;
         queue_hist.count = 3;
@@ -1931,7 +1970,7 @@ mod tests {
         queue_hist.max = 900;
         let mut kernels = KernelTimers::default();
         kernels.ftcs.record(std::time::Duration::from_micros(7), 4);
-        let s = StatsSnapshot {
+        StatsSnapshot {
             queue_depth: 2,
             received: 100,
             admitted: 90,
@@ -1947,31 +1986,19 @@ mod tests {
             service_hist: dpm_obs::Histogram::latency_default().snapshot(),
             e2e_hist: queue_hist,
             kernels,
-        };
+        }
+    }
+
+    #[test]
+    fn stats_round_trip() {
+        let s = sample_stats();
         let back = decode_stats(&encode_stats(&s)).expect("decodes");
         assert_eq!(back, s);
     }
 
     #[test]
     fn truncated_stats_errors_not_panics() {
-        let s = StatsSnapshot {
-            queue_depth: 0,
-            received: 0,
-            admitted: 0,
-            served: 0,
-            overloaded: 0,
-            invalid_config: 0,
-            malformed: 0,
-            deadline_expired: 0,
-            rejected_shutdown: 0,
-            internal_errors: 0,
-            progress_frames: 0,
-            queue_hist: dpm_obs::Histogram::latency_default().snapshot(),
-            service_hist: dpm_obs::Histogram::latency_default().snapshot(),
-            e2e_hist: dpm_obs::Histogram::latency_default().snapshot(),
-            kernels: KernelTimers::default(),
-        };
-        let payload = encode_stats(&s);
+        let payload = encode_stats(&sample_stats());
         for cut in 0..payload.len() {
             assert!(decode_stats(&payload[..cut]).is_err(), "cut at {cut}");
         }
@@ -1986,13 +2013,7 @@ mod tests {
         write_frame(
             &mut stream,
             FrameKind::Error,
-            &encode_error(&ErrorReply {
-                id: 1,
-                code: ErrorCode::Overloaded,
-                steps: 0,
-                rounds: 0,
-                message: String::new(),
-            }),
+            &encode_error(&sample_error()),
         )
         .expect("writes");
 
@@ -2022,14 +2043,23 @@ mod tests {
             Err(WireError::BadMagic(_))
         ));
 
-        // Future version.
-        let mut bad = Vec::new();
-        write_frame(&mut bad, FrameKind::Error, &[]).expect("writes");
-        bad[4] = 99;
-        assert!(matches!(
-            read_frame(&mut &bad[..], DEFAULT_MAX_FRAME_LEN),
-            Err(WireError::UnsupportedVersion(99))
-        ));
+        // Every version but the current one, the retired v2 and v3
+        // included, through both readers.
+        for version in [2u16, 3, VERSION + 1, 99] {
+            let mut bad = Vec::new();
+            write_frame(&mut bad, FrameKind::StatsRequest, &[]).expect("writes");
+            bad[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                read_frame(&mut &bad[..], DEFAULT_MAX_FRAME_LEN),
+                Err(WireError::UnsupportedVersion(v)) if v == version
+            ));
+            let mut asm = FrameAssembler::new();
+            asm.push(&bad);
+            assert!(matches!(
+                asm.next_frame(DEFAULT_MAX_FRAME_LEN),
+                Err(WireError::UnsupportedVersion(v)) if v == version
+            ));
+        }
 
         // Unknown kind.
         let mut bad = Vec::new();
@@ -2049,113 +2079,76 @@ mod tests {
         ));
     }
 
+    /// A reader that hands out at most 4 bytes of `bytes` per call,
+    /// answering `WouldBlock` in between (and once they run out) like a
+    /// socket with a read deadline.
+    struct Stalling {
+        bytes: Vec<u8>,
+        pos: usize,
+        stall: bool,
+    }
+
+    impl Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.stall = !self.stall;
+            let n = buf.len().min(4).min(self.bytes.len() - self.pos);
+            if self.stall || n == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_frame_resumes_across_mid_frame_timeouts() {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, FrameKind::Progress, &[9; 40]).expect("writes");
+        let stalling = |bytes: &[u8]| Stalling {
+            bytes: bytes.to_vec(),
+            pos: 0,
+            stall: true,
+        };
+        // A pre-frame timeout is the idle-poll point and surfaces as is.
+        assert!(matches!(
+            read_frame(&mut stalling(&[]), DEFAULT_MAX_FRAME_LEN),
+            Err(WireError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock
+        ));
+        // Once a frame has started, timeouts between segments are
+        // absorbed and the read resumes where it left off.
+        let frame = read_frame(&mut stalling(&bytes), DEFAULT_MAX_FRAME_LEN)
+            .expect("reads")
+            .expect("present");
+        assert_eq!(frame.kind, FrameKind::Progress);
+        assert_eq!(frame.payload, vec![9; 40]);
+        // A peer that goes silent mid-frame is a typed stall, not a hang.
+        let mut silent = stalling(&bytes[..7]);
+        assert!(matches!(
+            read_frame(&mut silent, DEFAULT_MAX_FRAME_LEN),
+            Err(WireError::Truncated { .. })
+        ));
+    }
+
     #[test]
     fn truncated_payloads_error_not_panic() {
         let req = tiny_request(JobKind::Global);
         let payload = encode_request(&req, PayloadEncoding::Binary);
         // Chop the payload at every length; each prefix must produce an
-        // error — never panic. The single exception is stripping exactly
-        // the trailing solver byte, which is by design a complete legacy
-        // (pre-spectral) frame.
+        // error — never panic.
         for cut in 0..payload.len() {
-            match decode_request(&payload[..cut]) {
-                Err(_) => {}
-                Ok(_) if cut == payload.len() - 1 => {}
-                Ok(_) => panic!("truncated payload of {cut} bytes decoded"),
-            }
+            assert!(
+                decode_request(&payload[..cut]).is_err(),
+                "truncated payload of {cut} bytes decoded"
+            );
         }
         assert!(decode_request(&payload).is_ok());
     }
 
     #[test]
-    fn legacy_frame_without_solver_byte_decodes_as_ftcs() {
-        // Back-compat pin: a v2 request frame that predates the solver
-        // byte is exactly today's frame with the last byte stripped. It
-        // must decode with `SolverKind::Ftcs` and every other field
-        // bit-identical — so PR 2–4 era clients keep working unchanged.
-        let mut req = tiny_request(JobKind::Local);
-        req.config = req.config.with_solver(SolverKind::Spectral);
-        let payload = encode_request(&req, PayloadEncoding::Binary);
-        assert_eq!(
-            *payload.last().expect("non-empty"),
-            SolverKind::Spectral as u8,
-            "solver byte must be the final payload byte"
-        );
-
-        let legacy = &payload[..payload.len() - 1];
-        let back = decode_request(legacy).expect("legacy frame decodes");
-        assert_eq!(back.config.solver, SolverKind::Ftcs);
-        assert_eq!(
-            back.config,
-            req.config.with_solver(SolverKind::Ftcs),
-            "all non-solver config fields survive the legacy path"
-        );
-        assert_eq!(back.id, req.id);
-        assert_eq!(back.design, req.design);
-        assert_eq!(back.kind, req.kind);
-
-        // And the modern frame round-trips the spectral choice.
-        let modern = decode_request(&payload).expect("decodes");
-        assert_eq!(modern.config.solver, SolverKind::Spectral);
-
-        // Unknown solver discriminants are malformed, not a panic.
-        let mut bad = payload.clone();
-        *bad.last_mut().expect("non-empty") = 7;
-        assert!(matches!(
-            decode_request(&bad),
-            Err(WireError::Malformed {
-                context: "request.solver",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn dimension_less_frame_decodes_byte_for_byte_as_a_2d_job() {
-        // Back-compat pin for the volumetric era: the dimension block is
-        // a pure suffix of the frame, so a planar request is the exact
-        // byte prefix of its volumetric sibling, and a dimension-less
-        // (pre-volumetric v3) frame decodes as a plain 2D job whose
-        // re-encoding reproduces the original bytes.
-        let mut req = tiny_request(JobKind::Global);
-        let planar = encode_request(&req, PayloadEncoding::Binary);
-        req.vol = Some(VolRequestExt {
-            nz: 3,
-            z0: 0,
-            global_nz: 3,
-            exact_steps: None,
-            z: vec![0.5, 1.5, 2.5],
-            field: None,
-        });
-        let volumetric = encode_request(&req, PayloadEncoding::Binary);
-        assert!(volumetric.len() > planar.len());
-        assert_eq!(
-            &volumetric[..planar.len()],
-            &planar[..],
-            "the vol block must be a pure suffix of the planar frame"
-        );
-
-        let back = decode_request(&planar).expect("dimension-less frame decodes");
-        assert!(back.vol.is_none(), "no trailing bytes means a 2D job");
-        assert_eq!(
-            encode_request(&back, PayloadEncoding::Binary),
-            planar,
-            "the 2D decode re-encodes byte-for-byte"
-        );
-    }
-
-    #[test]
     fn volumetric_request_round_trip_is_exact() {
         let mut req = tiny_request(JobKind::Global);
-        let field: Vec<f64> = (0..32).map(|i| f64::from(i) * 0.125 + 0.001).collect();
-        req.vol = Some(VolRequestExt {
-            nz: 2,
-            z0: 1,
-            global_nz: 4,
-            exact_steps: Some(1),
-            z: vec![1.5, 2.25, 3.0 + f64::EPSILON],
-            field: Some(field),
-        });
+        req.vol = Some(tiny_vol());
         let payload = encode_request(&req, PayloadEncoding::Binary);
         let back = decode_request(&payload).expect("decodes");
         let v0 = req.vol.as_ref().expect("sent");
@@ -2179,26 +2172,17 @@ mod tests {
     #[test]
     fn volumetric_response_round_trip_is_exact() {
         let resp = JobResponse {
-            id: 5,
-            converged: false,
-            steps: 7,
-            rounds: 7,
-            total_movement: 0.5,
-            max_movement: 0.25,
-            queue_ns: 10,
-            service_ns: 20,
-            positions: vec![Point::new(3.0, 4.0)],
             vol: Some(VolResponseExt {
                 z: vec![0.5, 1.5, f64::MIN_POSITIVE],
                 field: Some(vec![0.0, 1.0, 0.75, f64::MAX]),
             }),
-            spans: Vec::new(),
+            ..tiny_response()
         };
         let back = decode_response(&encode_response(&resp)).expect("decodes");
         assert_eq!(back, resp);
 
-        // A planar reply stays byte-identical to the pre-volumetric
-        // framing: it is the exact prefix of its volumetric sibling.
+        // Optional data only ever follows the core fields: a planar
+        // reply is the exact prefix of its volumetric sibling.
         let planar = JobResponse {
             vol: None,
             ..resp.clone()
@@ -2213,55 +2197,135 @@ mod tests {
     #[test]
     fn malformed_vol_blocks_error_not_panic() {
         let mut req = tiny_request(JobKind::Global);
-        req.vol = Some(VolRequestExt {
-            nz: 2,
-            z0: 0,
-            global_nz: 2,
-            exact_steps: None,
-            z: vec![0.5, 1.0, 1.5],
-            field: None,
-        });
-        let payload = encode_request(&req, PayloadEncoding::Binary);
-        // With no exact-steps and no field the vol block is flags(1) +
-        // nz(4) + z0(4) + global_nz(4) + z count(4) + three f64 depths.
-        let flags_off = payload.len() - (1 + 4 + 4 + 4 + 4 + 3 * 8);
-
-        // Unknown flag bits are malformed, not silently ignored — they
-        // are the extension point for future revisions.
-        let mut bad = payload.clone();
-        bad[flags_off] = 0x80;
-        assert!(matches!(
-            decode_request(&bad),
-            Err(WireError::Malformed {
-                context: "request.ext.flags",
-                ..
-            })
-        ));
-
+        let core_len = encode_request(&req, PayloadEncoding::Binary).len();
+        req.vol = Some(tiny_vol());
         // A region poking outside the stack (z0 + nz > global_nz) is
-        // malformed.
-        let mut bad = payload.clone();
-        let z0_off = flags_off + 1 + 4;
+        // malformed. z0 follows the section's tag, length and nz.
+        let mut bad = encode_request(&req, PayloadEncoding::Binary);
+        let z0_off = core_len + 1 + 4 + 4;
         bad[z0_off..z0_off + 4].copy_from_slice(&7u32.to_le_bytes());
         assert!(matches!(
             decode_request(&bad),
             Err(WireError::Malformed { context: "vol", .. })
         ));
+    }
 
-        // Every truncation inside the vol block errors — never panics,
-        // and never decodes as a shorter volumetric frame.
-        for cut in flags_off + 1..payload.len() {
-            assert!(
-                decode_request(&payload[..cut]).is_err(),
-                "vol block truncated to {} bytes decoded",
-                cut - flags_off
+    /// A section's tag and body.
+    type Section = (u8, Vec<u8>);
+
+    /// Splits the sections off a payload whose core fields end at
+    /// `core`.
+    fn sections(payload: &[u8], core: usize) -> Vec<Section> {
+        let mut out = Vec::new();
+        let mut cur = Cur::new(&payload[core..]);
+        while cur.remaining() > 0 {
+            let tag = cur.u8("tag").expect("tag");
+            let len = cur.u32("len").expect("len") as usize;
+            out.push((tag, cur.take(len, "body").expect("body").to_vec()));
+        }
+        out
+    }
+
+    /// The core bytes followed by `sections`, each framed as written.
+    fn with_sections(core: &[u8], sections: &[&Section]) -> Vec<u8> {
+        let mut buf = core.to_vec();
+        for (tag, body) in sections {
+            put_section(&mut buf, *tag, |b| b.extend_from_slice(body));
+        }
+        buf
+    }
+
+    #[test]
+    fn section_rules_are_enforced() {
+        let mut req = tiny_request(JobKind::Global);
+        let core = encode_request(&req, PayloadEncoding::Binary);
+        req.vol = Some(tiny_vol());
+        req.trace = Some(CTX);
+        let payload = encode_request(&req, PayloadEncoding::Binary);
+        let secs = sections(&payload, core.len());
+        let tags: Vec<u8> = secs.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tags, [TAG_VOL, TAG_EXACT_STEPS, TAG_FIELD, TAG_TRACE]);
+        let all: Vec<&Section> = secs.iter().collect();
+        assert_eq!(with_sections(&core, &all), payload);
+        assert_eq!(
+            encode_request(
+                &decode_request(&payload).expect("decodes"),
+                PayloadEncoding::Binary
+            ),
+            payload
+        );
+
+        // Every cut inside a section errors, never panics; a cut at a
+        // section boundary is the frame without the later sections.
+        let mut ends = vec![core.len()];
+        for (_, body) in &secs {
+            ends.push(ends[ends.len() - 1] + 1 + 4 + body.len());
+        }
+        for cut in core.len()..payload.len() {
+            assert_eq!(
+                decode_request(&payload[..cut]).is_ok(),
+                ends.contains(&cut),
+                "payload cut at {cut}"
             );
         }
-        // Cutting the whole block off leaves a valid planar frame.
-        assert!(decode_request(&payload[..flags_off])
-            .expect("planar prefix decodes")
-            .vol
-            .is_none());
+
+        // Unknown tags are malformed, not skipped: a frame asking for
+        // semantics this build lacks must fail loudly.
+        for unknown in [0u8, 5, 0x10, 0x80, 0xFF] {
+            let mut bad = payload.clone();
+            bad[core.len()] = unknown;
+            assert!(matches!(
+                decode_request(&bad),
+                Err(WireError::Malformed {
+                    context: "request.section",
+                    ..
+                })
+            ));
+        }
+
+        let [vol, steps, field, trace] = [0, 1, 2, 3].map(|i| &secs[i]);
+        let short_trace = (TAG_TRACE, trace.1[1..].to_vec());
+        let long_trace = (TAG_TRACE, [&trace.1[..], &[0]].concat());
+        let mut overrun = with_sections(&core, &[vol]);
+        overrun[core.len() + 1] += 1;
+        let cases = [
+            ("out of order", with_sections(&core, &[vol, trace, field])),
+            ("duplicate", with_sections(&core, &[trace, trace])),
+            ("over-consumed", with_sections(&core, &[&short_trace])),
+            ("under-consumed", with_sections(&core, &[&long_trace])),
+            ("field without vol", with_sections(&core, &[field, trace])),
+            ("steps without vol", with_sections(&core, &[steps])),
+            ("len overruns", overrun),
+        ];
+        for (what, bad) in cases {
+            assert!(
+                matches!(
+                    decode_request(&bad),
+                    Err(WireError::Malformed {
+                        context: "request.section",
+                        ..
+                    })
+                ),
+                "{what}: {:?}",
+                decode_request(&bad).map(|_| ())
+            );
+        }
+
+        // A response allows no exact-steps section, and its field
+        // section needs the vol section too.
+        let core = encode_response(&tiny_response());
+        for bad in [
+            with_sections(&core, &[vol, steps]),
+            with_sections(&core, &[field]),
+        ] {
+            assert!(matches!(
+                decode_response(&bad),
+                Err(WireError::Malformed {
+                    context: "response.section",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
@@ -2269,13 +2333,9 @@ mod tests {
         let mut req = tiny_request(JobKind::Global);
         req.config = DiffusionConfig::default();
         let mut payload = encode_request(&req, PayloadEncoding::Binary);
-        // The die width field sits right after id(8) + deadline(4) +
-        // progress_stride(4) + kind(1) + design("tiny" → 4+4) +
-        // config(five f64 + max_steps u64 + two u8 flags + four u64
-        // counters + f64 clamp + u8 flag + u64 threads) + encoding(1)
-        // + llx(8) + lly(8).
-        let config_len = 5 * 8 + 8 + 2 + 4 * 8 + 8 + 1 + 8;
-        let die_width_off = 8 + 4 + 4 + 1 + (4 + 4) + config_len + 1 + 16;
+        // The die width field sits right after the job head, the
+        // encoding byte, llx(8) and lly(8).
+        let die_width_off = TINY_HEAD_LEN + 1 + 16;
         payload[die_width_off..die_width_off + 8]
             .copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         assert!(matches!(
@@ -2327,7 +2387,6 @@ mod tests {
             }
             assert_eq!(frames.len(), 2, "split at {split}");
             assert_eq!(frames[0].kind, FrameKind::StatsRequest);
-            assert_eq!(frames[0].version, VERSION);
             assert_eq!(frames[1].kind, FrameKind::Progress);
             assert_eq!(frames[1].payload, vec![1, 2, 3, 4, 5]);
             assert_eq!(asm.pending(), 0);
@@ -2373,31 +2432,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_header_still_decodes_and_version_is_reported() {
-        let mut bytes = Vec::new();
-        write_frame_versioned(&mut bytes, 2, FrameKind::StatsRequest, &[]).expect("write");
-        let frame = read_frame(&mut &bytes[..], DEFAULT_MAX_FRAME_LEN)
-            .expect("reads")
-            .expect("some");
-        assert_eq!(frame.version, 2);
-        let mut asm = FrameAssembler::new();
-        asm.push(&bytes);
-        let frame = asm
-            .next_frame(DEFAULT_MAX_FRAME_LEN)
-            .expect("ok")
-            .expect("some");
-        assert_eq!(frame.version, 2);
-
-        // Below MIN_VERSION is rejected.
-        let mut bytes = Vec::new();
-        write_frame_versioned(&mut bytes, 1, FrameKind::StatsRequest, &[]).expect("write");
-        assert!(matches!(
-            read_frame(&mut &bytes[..], DEFAULT_MAX_FRAME_LEN),
-            Err(WireError::UnsupportedVersion(1))
-        ));
-    }
-
-    #[test]
     fn fnv1a64_matches_reference_vectors() {
         // Standard FNV-1a 64 test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
@@ -2430,12 +2464,7 @@ mod tests {
 
     #[test]
     fn put_design_round_trip() {
-        let req = tiny_request(JobKind::Global);
-        let put = PutDesign {
-            id: 42,
-            tenant: "acme".into(),
-            bytes: encode_design_bytes(&req.netlist, &req.die, &req.placement),
-        };
+        let put = sample_put();
         let payload = encode_put_design(&put);
         let back = decode_put_design(&payload).expect("decodes");
         assert_eq!(back.id, 42);
@@ -2446,13 +2475,7 @@ mod tests {
 
     #[test]
     fn design_ack_and_need_design_round_trip() {
-        let ack = DesignAck {
-            id: 9,
-            hash: 0xdead_beef_cafe_f00d,
-            cached: true,
-            resident_bytes: 123_456,
-            evicted: 3,
-        };
+        let ack = sample_ack();
         let back = decode_design_ack(&encode_design_ack(&ack)).expect("decodes");
         assert_eq!(back, ack);
 
@@ -2469,50 +2492,23 @@ mod tests {
     }
 
     #[test]
-    fn traced_request_is_a_pure_suffix_of_the_legacy_frame() {
-        let mut req = tiny_request(JobKind::Local);
-        let legacy = encode_request(&req, PayloadEncoding::Binary);
-
-        req.trace = Some(TraceContext {
-            trace_id: 0x1111_2222_3333_4444,
-            span_id: 0x5555_6666_7777_8888,
-            parent_id: 0,
-        });
-        let traced = encode_request(&req, PayloadEncoding::Binary);
-
-        // Trace context rides as flags byte + 24-byte block appended
-        // after everything a legacy decoder reads: the untraced frame
-        // is byte-for-byte a prefix of the traced one.
-        assert_eq!(traced.len(), legacy.len() + 1 + 24);
-        assert_eq!(&traced[..legacy.len()], &legacy[..]);
-
-        let back = decode_request(&traced).expect("traced frame decodes");
-        assert_eq!(back.trace, req.trace);
-        assert!(back.vol.is_none());
-        // And the legacy bytes still decode as an untraced job.
-        assert_eq!(decode_request(&legacy).expect("legacy decodes").trace, None);
-    }
-
-    #[test]
     fn traced_volumetric_request_round_trip_is_exact() {
         let mut req = tiny_request(JobKind::Global);
-        req.vol = Some(VolRequestExt {
-            nz: 3,
-            z0: 0,
-            global_nz: 3,
-            exact_steps: None,
-            z: vec![0.5, 1.5, 2.5],
-            field: None,
-        });
+        // Planar first: one 24-byte trace section after the core.
         let untraced = encode_request(&req, PayloadEncoding::Binary);
-        req.trace = Some(TraceContext {
-            trace_id: 7,
-            span_id: 8,
-            parent_id: 9,
-        });
+        req.trace = Some(CTX);
         let traced = encode_request(&req, PayloadEncoding::Binary);
-        // Same flags byte position, EXT_TRACE bit set, 24 extra bytes.
-        assert_eq!(traced.len(), untraced.len() + 24);
+        assert_eq!(traced.len(), untraced.len() + 1 + 4 + 24);
+        let back = decode_request(&traced).expect("decodes");
+        assert_eq!(back.trace, Some(CTX));
+        assert!(back.vol.is_none());
+
+        req.trace = None;
+        req.vol = Some(tiny_vol());
+        let untraced = encode_request(&req, PayloadEncoding::Binary);
+        req.trace = Some(CTX);
+        let traced = encode_request(&req, PayloadEncoding::Binary);
+        assert_eq!(traced.len(), untraced.len() + 1 + 4 + 24);
         let back = decode_request(&traced).expect("decodes");
         assert_eq!(back.trace, req.trace);
         assert_eq!(back.vol, req.vol);
@@ -2521,17 +2517,11 @@ mod tests {
     #[test]
     fn malformed_trace_blocks_error_not_panic() {
         let mut req = tiny_request(JobKind::Local);
-        req.trace = Some(TraceContext {
-            trace_id: 1,
-            span_id: 2,
-            parent_id: 3,
-        });
-        let payload = encode_request(&req, PayloadEncoding::Binary);
-        let flags_off = payload.len() - (1 + 24);
-
+        req.trace = Some(CTX);
         // The all-zero context never appears on the wire.
-        let mut bad = payload.clone();
-        bad[flags_off + 1..].fill(0);
+        let mut bad = encode_request(&req, PayloadEncoding::Binary);
+        let len = bad.len();
+        bad[len - 24..].fill(0);
         assert!(matches!(
             decode_request(&bad),
             Err(WireError::Malformed {
@@ -2539,130 +2529,51 @@ mod tests {
                 ..
             })
         ));
-
-        // A vol-absent flag without a trace block is non-canonical: the
-        // frame should have ended at the solver byte instead.
-        let mut bad = payload[..flags_off + 1].to_vec();
-        bad[flags_off] = EXT_NO_VOL;
-        assert!(matches!(
-            decode_request(&bad),
-            Err(WireError::Malformed {
-                context: "request.ext.flags",
-                ..
-            })
-        ));
-
-        // Unknown flag bits are malformed, not silently skipped. 0x10 is
-        // the retired field-precision bit: an old client's untraced f32
-        // frame (flags `EXT_NO_VOL | 0x10`, then precision byte 1) must
-        // be refused rather than run in f64.
-        let mut retired = payload[..flags_off].to_vec();
-        retired.extend_from_slice(&[EXT_NO_VOL | 0x10, 1]);
-        let mut frames = vec![retired];
-        for unknown in [0x10u8, 0x20, 0x40, 0xE0] {
-            let mut bad = payload.clone();
-            bad[flags_off] = unknown;
-            frames.push(bad);
-        }
-        for bad in frames {
-            assert!(matches!(
-                decode_request(&bad),
-                Err(WireError::Malformed {
-                    context: "request.ext.flags",
-                    ..
-                })
-            ));
-        }
-
-        // Every truncation inside the trace block errors, never panics.
-        for cut in flags_off + 1..payload.len() {
-            assert!(
-                decode_request(&payload[..cut]).is_err(),
-                "trace block truncated to {} bytes decoded",
-                cut - flags_off
-            );
-        }
-        // Cutting the whole extension off leaves a valid untraced frame.
-        assert!(decode_request(&payload[..flags_off])
-            .expect("untraced prefix decodes")
-            .trace
-            .is_none());
     }
 
     #[test]
-    fn span_export_round_trip_and_legacy_prefix() {
-        let bare = JobResponse {
-            id: 5,
-            converged: true,
-            steps: 10,
-            rounds: 1,
-            total_movement: 1.0,
-            max_movement: 0.5,
-            queue_ns: 7,
-            service_ns: 11,
-            positions: vec![Point::new(1.0, 2.0)],
-            vol: None,
-            spans: Vec::new(),
+    fn span_export_round_trip() {
+        let traced = JobResponse {
+            spans: vec![
+                SpanRecord {
+                    name: "job.local".into(),
+                    start_ns: 0,
+                    end_ns: 500,
+                    trace_id: 0xABCD,
+                    span_id: 2,
+                    parent_id: 1,
+                },
+                SpanRecord {
+                    name: "kernel.ftcs \"quoted\"\n".into(),
+                    start_ns: 10,
+                    end_ns: 20,
+                    trace_id: 0xABCD,
+                    span_id: 3,
+                    parent_id: 2,
+                },
+            ],
+            ..tiny_response()
         };
-        let legacy = encode_response(&bare);
-
-        let mut traced = bare.clone();
-        traced.spans = vec![
-            SpanRecord {
-                name: "job.local".into(),
-                start_ns: 0,
-                end_ns: 500,
-                trace_id: 0xABCD,
-                span_id: 2,
-                parent_id: 1,
-            },
-            SpanRecord {
-                name: "kernel.ftcs \"quoted\"\n".into(),
-                start_ns: 10,
-                end_ns: 20,
-                trace_id: 0xABCD,
-                span_id: 3,
-                parent_id: 2,
-            },
-        ];
-        let payload = encode_response(&traced);
-        // The span export is a pure suffix after the untraced bytes.
-        assert!(payload.len() > legacy.len());
-        assert_eq!(&payload[..legacy.len()], &legacy[..]);
-        let back = decode_response(&payload).expect("decodes");
+        let back = decode_response(&encode_response(&traced)).expect("decodes");
         assert_eq!(back, traced);
-        assert_eq!(
-            decode_response(&legacy).expect("legacy decodes").spans,
-            Vec::new()
-        );
     }
 
     #[test]
     fn malformed_span_exports_error_not_panic() {
-        let mut resp = JobResponse {
-            id: 5,
-            converged: true,
-            steps: 10,
-            rounds: 1,
-            total_movement: 1.0,
-            max_movement: 0.5,
-            queue_ns: 7,
-            service_ns: 11,
-            positions: vec![Point::new(1.0, 2.0)],
-            vol: None,
+        let resp = JobResponse {
             spans: vec![SpanRecord {
                 name: "job.local".into(),
                 start_ns: 100,
-                end_ns: 50, // inverted on purpose below
+                end_ns: 200,
                 trace_id: 1,
                 span_id: 2,
                 parent_id: 0,
             }],
+            ..tiny_response()
         };
-        resp.spans[0].end_ns = 200;
         let payload = encode_response(&resp);
-        let flags_off = payload.len()
-            - (1 // ext flags
+        let sec_off = payload.len()
+            - (1 + 4 // section tag and length
                 + 8 // shared trace id
                 + 4 // count
                 + 4 + "job.local".len() // name
@@ -2681,26 +2592,164 @@ mod tests {
         ));
 
         // A hostile count cannot drive allocation past the payload: it
-        // just truncates.
+        // is refused before anything is allocated.
         let mut bad = payload.clone();
-        let count_off = flags_off + 1 + 8;
+        let count_off = sec_off + 1 + 4 + 8;
         bad[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             decode_response(&bad),
-            Err(WireError::Truncated { .. })
+            Err(WireError::Malformed {
+                context: "spans.count",
+                ..
+            })
         ));
 
         // Every truncation inside the export errors, never panics.
-        for cut in flags_off + 1..payload.len() {
+        for cut in sec_off + 1..payload.len() {
             assert!(
                 decode_response(&payload[..cut]).is_err(),
                 "span export truncated to {} bytes decoded",
-                cut - flags_off
+                cut - sec_off
             );
         }
-        assert!(decode_response(&payload[..flags_off])
+        assert!(decode_response(&payload[..sec_off])
             .expect("bare prefix decodes")
             .spans
             .is_empty());
+    }
+
+    /// Applies one to three random mutations: a bit flip, a byte set, a
+    /// truncation, an insertion, a deletion, or a 0xFF/0x00 run.
+    fn mutate(rng: &mut dpm_rng::Rng, seed: &[u8]) -> Vec<u8> {
+        let mut b = seed.to_vec();
+        for _ in 0..rng.random_range(1..=3usize) {
+            let at = rng.random_range(0..=b.len());
+            let byte = rng.next_u64() as u8;
+            match rng.random_range(0..6u32) {
+                0 if at < b.len() => b[at] ^= 1 << (byte % 8),
+                1 if at < b.len() => b[at] = byte,
+                2 => b.truncate(at),
+                3 => b.insert(at, byte),
+                4 if at < b.len() => drop(b.remove(at)),
+                _ => {
+                    let end = (at + 1 + usize::from(byte % 16)).min(b.len());
+                    let fill = if byte & 1 == 0 { 0x00 } else { 0xFF };
+                    b[at.min(end)..end].fill(fill);
+                }
+            }
+        }
+        b
+    }
+
+    /// Every decoder returns `Ok` or `Err` — never panics — on mutated
+    /// copies of valid encodings.
+    #[test]
+    fn decoders_survive_the_mutation_corpus() {
+        let mut vol_traced = tiny_request(JobKind::Global);
+        vol_traced.vol = Some(tiny_vol());
+        vol_traced.trace = Some(CTX);
+        let mut delta = crate::delta::tests::sample_request();
+        delta.trace = vol_traced.trace;
+        let resp = JobResponse {
+            vol: Some(VolResponseExt {
+                z: vec![0.5, 1.5],
+                field: Some(vec![0.25; 4]),
+            }),
+            spans: vec![SpanRecord {
+                name: "job.global".into(),
+                start_ns: 0,
+                end_ns: 9,
+                trace_id: 1,
+                span_id: 2,
+                parent_id: 0,
+            }],
+            ..tiny_response()
+        };
+        let req = tiny_request(JobKind::Local);
+        let error = encode_error(&sample_error());
+        let mut frames = Vec::new();
+        for (kind, payload) in [
+            (FrameKind::StatsRequest, &[][..]),
+            (FrameKind::Error, &error),
+            (FrameKind::Progress, &[7; 48]),
+        ] {
+            write_frame(&mut frames, kind, payload).expect("writes");
+        }
+        // Both readers over a frame stream; true when it parses whole.
+        let read_all = |b: &[u8]| {
+            let mut asm = FrameAssembler::new();
+            asm.push(b);
+            while let Ok(Some(f)) = asm.next_frame(1 << 12) {
+                drop(Reply::from_frame(&f));
+            }
+            let mut r = b;
+            while let Ok(Some(_)) = read_frame(&mut r, 1 << 12) {}
+            asm.pending() == 0 && r.is_empty()
+        };
+        type Decode = fn(&[u8]) -> bool;
+        let seeds: Vec<(&str, Vec<u8>, Decode)> = vec![
+            (
+                "binary request",
+                encode_request(&req, PayloadEncoding::Binary),
+                |b| decode_request(b).is_ok(),
+            ),
+            (
+                "bookshelf request",
+                encode_request(&req, PayloadEncoding::Bookshelf),
+                |b| decode_request(b).is_ok(),
+            ),
+            (
+                "vol traced request",
+                encode_request(&vol_traced, PayloadEncoding::Binary),
+                |b| decode_request(b).is_ok(),
+            ),
+            (
+                "traced delta request",
+                crate::delta::encode_delta_request(&delta),
+                |b| crate::delta::decode_delta_request(b).is_ok(),
+            ),
+            ("vol traced response", encode_response(&resp), |b| {
+                decode_response(b).is_ok()
+            }),
+            ("stats", encode_stats(&sample_stats()), |b| {
+                decode_stats(b).is_ok()
+            }),
+            ("error", error, |b| decode_error(b).is_ok()),
+            ("progress", encode_progress(&sample_progress()), |b| {
+                decode_progress(b).is_ok()
+            }),
+            ("put design", encode_put_design(&sample_put()), |b| {
+                decode_put_design(b).is_ok_and(|p| decode_design_bytes(&p.bytes).is_ok())
+            }),
+            ("design ack", encode_design_ack(&sample_ack()), |b| {
+                decode_design_ack(b).is_ok()
+            }),
+            (
+                "need design",
+                encode_need_design(&NeedDesign { id: 4, hash: 5 }),
+                |b| decode_need_design(b).is_ok(),
+            ),
+            ("design bytes", sample_put().bytes, |b| {
+                decode_design_bytes(b).is_ok()
+            }),
+            ("frame headers", frames, read_all),
+        ];
+        let mut rng = dpm_rng::Rng::seed_from_u64(0x5EC7);
+        let mut panics = Vec::new();
+        for (name, seed, decode) in &seeds {
+            assert!(decode(seed), "the {name} seed must decode");
+            for _ in 0..20_000 {
+                let bytes = mutate(&mut rng, seed);
+                if std::panic::catch_unwind(|| decode(&bytes)).is_err() {
+                    panics.push((*name, bytes));
+                }
+            }
+        }
+        assert!(
+            panics.is_empty(),
+            "{} decodes panicked, first: {:?}",
+            panics.len(),
+            panics.first()
+        );
     }
 }

@@ -76,9 +76,6 @@ pub struct VolRouterConfig {
     /// exact for one FTCS step (one tier of density reach plus one of
     /// velocity reach); fewer trades exactness away and is rejected.
     pub halo_layers: usize,
-    /// Payload encoding for TCP backends. Volumetric sub-jobs require
-    /// [`PayloadEncoding::Binary`] — Bookshelf text has no tier axis.
-    pub encoding: PayloadEncoding,
 }
 
 impl Default for VolRouterConfig {
@@ -86,7 +83,6 @@ impl Default for VolRouterConfig {
         Self {
             slabs: 2,
             halo_layers: 2,
-            encoding: PayloadEncoding::Binary,
         }
     }
 }
@@ -323,13 +319,10 @@ impl VolRouter {
                     .iter()
                     .map(|problem| {
                         let backend = self.backends[problem.index % self.backends.len()];
-                        let encoding = self.cfg.encoding;
                         let slab_trace = round_trace.as_ref().map(|(_, _, dispatch)| {
                             (recorder_ref.unwrap(), dispatch[problem.index])
                         });
-                        scope.spawn(move || {
-                            run_slab(backend, req, problem, nz, encoding, slab_trace)
-                        })
+                        scope.spawn(move || run_slab(backend, req, problem, nz, slab_trace))
                     })
                     .collect();
                 handles
@@ -481,11 +474,10 @@ fn run_slab(
     req: &JobRequest,
     problem: &SlabProblem,
     global_nz: usize,
-    encoding: PayloadEncoding,
     trace: Option<(&SpanRecorder, TraceContext)>,
 ) -> Result<SlabRun, String> {
     let dispatch_start = trace.map(|(recorder, _)| recorder.now_ns());
-    let mut result = run_slab_inner(backend, req, problem, global_nz, encoding, trace);
+    let mut result = run_slab_inner(backend, req, problem, global_nz, trace);
     if let (Some((recorder, ctx)), Some(start)) = (trace, dispatch_start) {
         recorder.record_traced("shard.dispatch", start, recorder.now_ns(), ctx);
         if let Ok(run) = result.as_mut() {
@@ -500,7 +492,6 @@ fn run_slab_inner(
     req: &JobRequest,
     problem: &SlabProblem,
     global_nz: usize,
-    encoding: PayloadEncoding,
     trace: Option<(&SpanRecorder, TraceContext)>,
 ) -> Result<SlabRun, String> {
     let region_nz = problem.h1 - problem.h0;
@@ -568,7 +559,7 @@ fn run_slab_inner(
                 .map_err(|e| format!("connect {addr}: {e}"))
                 .and_then(|mut client| {
                     client
-                        .request(&sub, encoding)
+                        .request(&sub, PayloadEncoding::Binary)
                         .map_err(|e| format!("transport: {e}"))
                 })?;
             match reply {

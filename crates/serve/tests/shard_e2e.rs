@@ -145,7 +145,6 @@ fn k4_never_increases_max_density_at_any_halo_exchange() {
         shards: 4,
         halo_bins: 2,
         max_halo_rounds: 12,
-        ..ShardRouterConfig::default()
     });
     let reply = router.route(&req);
 
