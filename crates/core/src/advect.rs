@@ -2,7 +2,7 @@
 
 use crate::velocity::interpolate_velocity;
 use crate::{DiffusionConfig, DiffusionEngine};
-use dpm_geom::{clamp, Point, Vector};
+use dpm_geom::{clamp, Point, Point3, Vector, Vector3};
 use dpm_netlist::{CellId, Netlist};
 use dpm_par::tree_reduce;
 use dpm_place::{BinGrid, Placement};
@@ -44,7 +44,7 @@ impl AdvectOutcome {
 /// truncates toward zero, which is the floor for `x ≥ 0`, and sends
 /// everything below 0 and NaN to 0. No `floor` call, so it stays inline.
 #[inline(always)]
-pub(crate) fn bin_index(x: f64, n: usize) -> usize {
+fn bin_index(x: f64, n: usize) -> usize {
     (x as usize).min(n - 1)
 }
 
@@ -70,13 +70,25 @@ fn displaced(dx: f64, dy: f64) -> bool {
     dx.abs() + dy.abs() > 0.0
 }
 
+/// Clamps center `v` of a cell of half-extent `half` into an axis of
+/// length `n`; a cell spanning the whole axis pins to its middle.
+#[inline(always)]
+fn lim(v: f64, half: f64, n: f64) -> f64 {
+    if 2.0 * half >= n {
+        n / 2.0
+    } else {
+        clamp(v, half, n - half)
+    }
+}
+
 /// The movable cells of one diffusion run, laid out for the advect pass:
 /// one structure of arrays built from the [`Netlist`] and [`Placement`]
 /// at run start, whose positions advect in place step after step.
 ///
 /// Slot `i` of every array is movable cell `ids[i]` (netlist order).
 /// Cell sizes and the bin grid never change during a run, so the
-/// half-extents are computed once; only the positions move.
+/// half-extents are computed once; only the positions (and, on a stacked
+/// run, the depths) move.
 #[derive(Debug)]
 pub(crate) struct CellTable {
     grid: BinGrid,
@@ -88,6 +100,12 @@ pub(crate) struct CellTable {
     /// Lower-left corners in world units — the run's current placement
     /// of the table's cells.
     pos: Vec<Point>,
+    /// Center depths in global tier units; empty on a planar run.
+    z: Vec<f64>,
+    /// First global tier of the engine's region.
+    z0: usize,
+    /// Full stack height (1 on a planar run).
+    global_nz: usize,
 }
 
 impl CellTable {
@@ -113,25 +131,42 @@ impl CellTable {
             half_world,
             half_bins,
             pos,
+            z: Vec::new(),
+            z0: 0,
+            global_nz: 1,
         }
     }
 
-    /// Moves every cell one step along the velocity field:
-    /// `x(n+1) = x(n) + v(x(n), y(n)) · Δt` (Eq. 7), with the velocity
-    /// taken at the cell *center*, bilinearly interpolated when
-    /// [`DiffusionConfig::interpolate`] is set, then writes the new
-    /// positions back to `placement`.
+    /// Adds a stacked run's depth column: `z` by cell id, in global tier
+    /// units, for an engine covering the tiers from `z0` of a
+    /// `global_nz`-tier stack.
+    pub(crate) fn stack(&mut self, z: &[f64], z0: usize, global_nz: usize) {
+        self.z = self.ids.iter().map(|id| z[id.index()]).collect();
+        (self.z0, self.global_nz) = (z0, global_nz);
+    }
+
+    /// Moves every cell one step of length `dt` along the velocity
+    /// field: `x(n+1) = x(n) + v(x(n)) · Δt` (Eq. 7), with the velocity
+    /// taken at the cell *center*, bi- (stacked: tri-) linearly
+    /// interpolated when [`DiffusionConfig::interpolate`] is set, then
+    /// writes the new positions back to `placement` and, on a stacked
+    /// run, the depths to `depths` (indexed by cell id).
     ///
     /// Rules enforced, in order:
     ///
-    /// 1. cells whose center sits in a wall or (when `respect_frozen`)
-    ///    frozen bin do not move;
+    /// 1. cells whose center sits in a wall or (planar, when
+    ///    `respect_frozen`) frozen bin do not move;
     /// 2. the per-step displacement is clamped to
-    ///    [`DiffusionConfig::max_step_displacement`] bins (CFL);
-    /// 3. a move whose destination bin is a wall is projected onto the
-    ///    axis that stays outside the wall (cells slide around macros,
-    ///    never onto them);
-    /// 4. the cell is clamped so its outline stays inside the grid region.
+    ///    [`DiffusionConfig::max_step_displacement`] bins (CFL): by its
+    ///    L∞ norm in-plane, per axis on a stack;
+    /// 3. the cell is clamped so its outline stays inside the grid
+    ///    region, and its depth into `[0.5, global_nz − 0.5]` (cells are
+    ///    one tier deep): a cell may leave its slab, never the stack;
+    /// 4. a move whose destination bin is a wall is projected onto the
+    ///    axis that stays outside the wall, x first, then y, then z
+    ///    (cells slide around macros, never onto them; walls are
+    ///    through-stack, so the z projection succeeds whenever the
+    ///    cell's own column is clear).
     ///
     /// Each cell's step depends only on its *own* position and the
     /// (fixed) velocity field, so the pass runs on the engine's worker
@@ -141,31 +176,50 @@ impl CellTable {
     /// fold in a fixed-shape tree, so results are bit-identical at every
     /// parallelism.
     ///
-    /// `placement` must hold the table's positions on entry — nothing
-    /// but this pass may move the table's cells during a run.
+    /// `placement` and `depths` must hold the table's positions on entry
+    /// — nothing but this pass may move the table's cells during a run.
     pub(crate) fn advect(
         &mut self,
         engine: &DiffusionEngine,
         cfg: &DiffusionConfig,
+        dt: f64,
         respect_frozen: bool,
         placement: &mut Placement,
+        depths: Option<&mut [f64]>,
     ) -> AdvectOutcome {
-        let field = StepField::new(engine, &self.grid, cfg, respect_frozen);
-        let chunks: Vec<&mut [Point]> = self.pos.chunks_mut(CELL_CHUNK).collect();
-        let partials = engine.pool().map(chunks, |i, pos| {
-            let start = i * CELL_CHUNK;
-            let range = start..start + pos.len();
-            let mut partial = AdvectOutcome::default();
-            for ((p, &hw), &hb) in pos
-                .iter_mut()
+        let field = StepField::new(engine, self, cfg, dt, respect_frozen);
+        let stacked = engine.ndim() == 3;
+        let mut z = self.z.chunks_mut(CELL_CHUNK);
+        let chunks: Vec<_> = (self.pos.chunks_mut(CELL_CHUNK))
+            .map(|pos| (pos, z.next().unwrap_or_default()))
+            .collect();
+        let partials = engine.pool().map(chunks, |i, (pos, z)| {
+            let range = i * CELL_CHUNK..i * CELL_CHUNK + pos.len();
+            let cells = (pos.iter_mut())
                 .zip(&self.half_world[range.clone()])
-                .zip(&self.half_bins[range])
-            {
-                if let Some(new_pos) = field.step(*p, hw, hb) {
-                    let (dx, dy) = (new_pos.x - p.x, new_pos.y - p.y);
-                    if displaced(dx, dy) {
-                        *p = new_pos;
-                        partial.total_movement += (dx * dx + dy * dy).sqrt();
+                .zip(&self.half_bins[range]);
+            let mut partial = AdvectOutcome::default();
+            if !stacked {
+                for ((p, &hw), &hb) in cells {
+                    if let Some(new_pos) = field.step(*p, hw, hb) {
+                        let (dx, dy) = (new_pos.x - p.x, new_pos.y - p.y);
+                        if displaced(dx, dy) {
+                            *p = new_pos;
+                            partial.total_movement += (dx * dx + dy * dy).sqrt();
+                            partial.moved_cells += 1;
+                        }
+                    }
+                }
+                return partial;
+            }
+            // Stacked movement mixes units deliberately: world distance
+            // in-plane plus tier count along z (tiers have no world pitch).
+            for (((p, &hw), &hb), z) in cells.zip(z) {
+                if let Some((new_pos, new_z)) = field.step3(*p, *z, hw, hb) {
+                    let (dx, dy, dz) = (new_pos.x - p.x, new_pos.y - p.y, new_z - *z);
+                    if displaced(dx.abs() + dy.abs(), dz) {
+                        (*p, *z) = (new_pos, new_z);
+                        partial.total_movement += (dx * dx + dy * dy).sqrt() + dz.abs();
                         partial.moved_cells += 1;
                     }
                 }
@@ -175,6 +229,11 @@ impl CellTable {
         for (&id, &p) in self.ids.iter().zip(&self.pos) {
             placement.set(id, p);
         }
+        if let Some(out) = depths {
+            for (&id, &z) in self.ids.iter().zip(&self.z) {
+                out[id.index()] = z;
+            }
+        }
         tree_reduce(partials, AdvectOutcome::merge).unwrap_or_default()
     }
 }
@@ -183,6 +242,7 @@ impl CellTable {
 /// velocity field and masks straight from the engine's buffers, the
 /// world↔bin transform and the step parameters.
 struct StepField<'a> {
+    engine: &'a DiffusionEngine,
     nx: usize,
     ny: usize,
     wall: &'a [bool],
@@ -190,9 +250,13 @@ struct StepField<'a> {
     frozen: Option<&'a [bool]>,
     vx: &'a [f64],
     vy: &'a [f64],
+    vz: &'a [f64],
     origin: Point,
     bin_w: f64,
     bin_h: f64,
+    /// The engine region's first global tier and the stack height.
+    z0: f64,
+    global_nz: f64,
     dt: f64,
     max_step: f64,
     interpolate: bool,
@@ -201,24 +265,28 @@ struct StepField<'a> {
 impl<'a> StepField<'a> {
     fn new(
         engine: &'a DiffusionEngine,
-        grid: &BinGrid,
+        table: &CellTable,
         cfg: &DiffusionConfig,
+        dt: f64,
         respect_frozen: bool,
     ) -> Self {
-        debug_assert_eq!(engine.ndim(), 2, "the cell table advects planar runs");
-        let (vx, vy) = engine.velocity_xy();
-        let region = grid.region();
+        let [vx, vy, vz] = engine.velocity_field();
+        let region = table.grid.region();
         Self {
+            engine,
             nx: engine.nx(),
             ny: engine.ny(),
             wall: engine.wall_mask(),
             frozen: respect_frozen.then(|| engine.frozen_mask()),
             vx,
             vy,
+            vz,
             origin: Point::new(region.llx, region.lly),
-            bin_w: grid.bin_width(),
-            bin_h: grid.bin_height(),
-            dt: cfg.dt,
+            bin_w: table.grid.bin_width(),
+            bin_h: table.grid.bin_height(),
+            z0: table.z0 as f64,
+            global_nz: table.global_nz as f64,
+            dt,
             max_step: cfg.max_step_displacement,
             interpolate: cfg.interpolate,
         }
@@ -228,6 +296,12 @@ impl<'a> StepField<'a> {
     #[inline(always)]
     fn bin(&self, x: f64, y: f64) -> usize {
         bin_index(y, self.ny) * self.nx + bin_index(x, self.nx)
+    }
+
+    /// Flat index of the bin containing `(x, y)` at region-local depth `zl`.
+    #[inline(always)]
+    fn bin3(&self, x: f64, y: f64, zl: f64) -> usize {
+        bin_index(zl, self.engine.nz()) * self.ny * self.nx + self.bin(x, y)
     }
 
     /// Eq. 6 at bin-coordinate point `(x, y)`: the bilinear blend of the
@@ -262,9 +336,18 @@ impl<'a> StepField<'a> {
         )
     }
 
+    /// The world corner of a cell centered at bin coordinates `(x, y)`.
+    #[inline(always)]
+    fn corner(&self, x: f64, y: f64, half_world: Vector) -> Point {
+        Point::new(
+            self.origin.x + x * self.bin_w - half_world.x,
+            self.origin.y + y * self.bin_h - half_world.y,
+        )
+    }
+
     /// One cell's step from lower-left corner `pos` with half-extents
     /// `half_world` (world units) and `half_bins` (bin units): the new
-    /// corner, or `None` if the cell stays put by rule 1 or 3 or has no
+    /// corner, or `None` if the cell stays put by rule 1 or 4 or has no
     /// velocity.
     #[inline(always)]
     fn step(&self, pos: Point, half_world: Vector, half_bins: Vector) -> Option<Point> {
@@ -285,16 +368,8 @@ impl<'a> StepField<'a> {
         }
 
         // Keep the cell outline inside the region (all in bin coords).
-        let lim = |v: f64, half: f64, n: usize| {
-            let n = n as f64;
-            if 2.0 * half >= n {
-                n / 2.0 // cell wider than region: pin to the middle
-            } else {
-                clamp(v, half, n - half)
-            }
-        };
-        let mut tx = lim(cx + disp.x, half_bins.x, self.nx);
-        let mut ty = lim(cy + disp.y, half_bins.y, self.ny);
+        let mut tx = lim(cx + disp.x, half_bins.x, self.nx as f64);
+        let mut ty = lim(cy + disp.y, half_bins.y, self.ny as f64);
 
         // Never step onto a macro: project the move axis-wise.
         if self.wall[self.bin(tx, ty)] {
@@ -306,17 +381,52 @@ impl<'a> StepField<'a> {
                 return None;
             }
         }
+        Some(self.corner(tx, ty, half_world))
+    }
 
-        Some(Point::new(
-            self.origin.x + tx * self.bin_w - half_world.x,
-            self.origin.y + ty * self.bin_h - half_world.y,
-        ))
+    /// [`step`](Self::step) for a stacked cell at global depth `z`: the
+    /// new corner and depth, or `None` if the cell stays put.
+    #[inline(always)]
+    fn step3(&self, pos: Point, z: f64, hw: Vector, hb: Vector) -> Option<(Point, f64)> {
+        let cx = (pos.x + hw.x - self.origin.x) / self.bin_w;
+        let cy = (pos.y + hw.y - self.origin.y) / self.bin_h;
+        let zl = z - self.z0;
+        let i = self.bin3(cx, cy, zl);
+        if self.wall[i] {
+            return None;
+        }
+        let v = if self.interpolate {
+            self.engine.velocity_at3(Point3::new(cx, cy, zl))
+        } else {
+            Vector3::new(self.vx[i], self.vy[i], self.vz[i])
+        };
+        let disp = (v * self.dt).clamped_linf(self.max_step);
+        if disp.linf_length() == 0.0 {
+            return None;
+        }
+        let mut tx = lim(cx + disp.x, hb.x, self.nx as f64);
+        let mut ty = lim(cy + disp.y, hb.y, self.ny as f64);
+        // Depths stay global and clamp against the full stack.
+        let mut tz = lim(z + disp.z, 0.5, self.global_nz);
+        if self.wall[self.bin3(tx, ty, tz - self.z0)] {
+            if !self.wall[self.bin3(tx, cy, zl)] {
+                (ty, tz) = (cy, z);
+            } else if !self.wall[self.bin3(cx, ty, zl)] {
+                (tx, tz) = (cx, z);
+            } else if !self.wall[self.bin3(cx, cy, tz - self.z0)] {
+                (tx, ty) = (cx, cy);
+            } else {
+                return None;
+            }
+        }
+        Some((self.corner(tx, ty, hw), tz))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VolPlacement;
     use dpm_geom::Rect;
     use dpm_netlist::{CellKind, NetlistBuilder};
     use dpm_par::chunk_ranges;
@@ -443,6 +553,99 @@ mod tests {
         (j, k)
     }
 
+    /// The serial per-call volumetric advect the stacked table replaced,
+    /// kept as its reference: every movable cell in netlist order,
+    /// [`DiffusionEngine::velocity_at3`] for the velocity, `hypot` plus
+    /// `|Δz|` for the movement, summed serially.
+    fn advect_cells3(
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        netlist: &Netlist,
+        placement: &mut VolPlacement,
+        cfg: &DiffusionConfig,
+        z0: usize,
+        global_nz: usize,
+    ) -> AdvectOutcome {
+        let nx = engine.nx() as f64;
+        let ny = engine.ny() as f64;
+        let gz = global_nz as f64;
+        let mut outcome = AdvectOutcome::default();
+        for cell_id in netlist.movable_cell_ids() {
+            let cell = netlist.cell(cell_id);
+            let old_pos = placement.xy.get(cell_id);
+            let old_z = placement.z[cell_id.index()];
+            let center = Point::new(old_pos.x + cell.width / 2.0, old_pos.y + cell.height / 2.0);
+            let c = grid.to_bin_coords(center);
+            let zl = old_z - z0 as f64;
+            let (j, k, t) = bin3_of(c.x, c.y, zl, engine);
+            if engine.is_wall3(j, k, t) {
+                continue;
+            }
+            let v = if cfg.interpolate {
+                engine.velocity_at3(Point3::new(c.x, c.y, zl))
+            } else {
+                engine.bin_velocity3(j, k, t)
+            };
+            let disp = (v * cfg.dt).clamped_linf(cfg.max_step_displacement);
+            if disp.linf_length() == 0.0 {
+                continue;
+            }
+            let half_w = cell.width / (2.0 * grid.bin_width());
+            let half_h = cell.height / (2.0 * grid.bin_height());
+            let lim = |v: f64, half: f64, n: f64| {
+                if 2.0 * half >= n {
+                    n / 2.0
+                } else {
+                    clamp(v, half, n - half)
+                }
+            };
+            let mut tx = lim(c.x + disp.x, half_w, nx);
+            let mut ty = lim(c.y + disp.y, half_h, ny);
+            let mut tz = lim(old_z + disp.z, 0.5, gz);
+            let (tj, tk, tt) = bin3_of(tx, ty, tz - z0 as f64, engine);
+            if engine.is_wall3(tj, tk, tt) {
+                let (xj, xk, xt) = bin3_of(tx, c.y, zl, engine);
+                let (yj, yk, yt) = bin3_of(c.x, ty, zl, engine);
+                let (zj, zk, zt) = bin3_of(c.x, c.y, tz - z0 as f64, engine);
+                if !engine.is_wall3(xj, xk, xt) {
+                    ty = c.y;
+                    tz = old_z;
+                } else if !engine.is_wall3(yj, yk, yt) {
+                    tx = c.x;
+                    tz = old_z;
+                } else if !engine.is_wall3(zj, zk, zt) {
+                    tx = c.x;
+                    ty = c.y;
+                } else {
+                    continue;
+                }
+            }
+            let new_center = grid.to_world_coords(Point::new(tx, ty));
+            let new_pos = Point::new(
+                new_center.x - cell.width / 2.0,
+                new_center.y - cell.height / 2.0,
+            );
+            let dist = (new_pos - old_pos).length() + (tz - old_z).abs();
+            if dist > 0.0 {
+                placement.xy.set(cell_id, new_pos);
+                placement.z[cell_id.index()] = tz;
+                outcome.total_movement += dist;
+                outcome.moved_cells += 1;
+            }
+        }
+        outcome
+    }
+
+    /// The reference's (clamped) bin containing a point: x/y in bin
+    /// coordinates, z in region-local tier units.
+    fn bin3_of(x: f64, y: f64, zl: f64, engine: &DiffusionEngine) -> (usize, usize, usize) {
+        (
+            (x.floor().max(0.0) as usize).min(engine.nx() - 1),
+            (y.floor().max(0.0) as usize).min(engine.ny() - 1),
+            (zl.floor().max(0.0) as usize).min(engine.nz() - 1),
+        )
+    }
+
     /// One table step from the placement as it stands.
     fn advect_cells(
         engine: &DiffusionEngine,
@@ -452,7 +655,14 @@ mod tests {
         cfg: &DiffusionConfig,
         respect_frozen: bool,
     ) -> AdvectOutcome {
-        CellTable::new(netlist, placement, grid).advect(engine, cfg, respect_frozen, placement)
+        CellTable::new(netlist, placement, grid).advect(
+            engine,
+            cfg,
+            cfg.dt,
+            respect_frozen,
+            placement,
+            None,
+        )
     }
 
     /// One 2×2 cell on a 4×4 grid of 10-unit bins.
@@ -508,7 +718,7 @@ mod tests {
         let cfg = DiffusionConfig::default();
         let mut table = CellTable::new(&nl, &p, &grid);
         for _ in 0..20 {
-            table.advect(&e, &cfg, false, &mut p);
+            table.advect(&e, &cfg, cfg.dt, false, &mut p, None);
         }
         let r = p.cell_rect(&nl, dpm_netlist::CellId::new(0));
         assert!(grid.region().contains_rect(&r), "cell escaped: {r}");
@@ -633,6 +843,38 @@ mod tests {
         e
     }
 
+    /// [`bumpy_engine`] stacked 4 tiers deep: a bumpy density in every
+    /// tier, the wall block raised through the stack, no frozen bins —
+    /// or, with `drift`, one velocity that also drives cells up the
+    /// stack.
+    fn bumpy_stack(threads: usize, drift: bool) -> DiffusionEngine {
+        let (n, nz) = (64usize, 4usize);
+        let density: Vec<f64> = (0..n * n * nz)
+            .map(|i| 0.25 + ((i * 2654435761usize) % 997) as f64 / 997.0)
+            .collect();
+        let mut wall = vec![false; n * n * nz];
+        for z in 0..nz {
+            for k in 20..28 {
+                for j in 30..44 {
+                    wall[(z * n + k) * n + j] = true;
+                }
+            }
+        }
+        let mut e = DiffusionEngine::from_raw_3d(n, n, nz, density, Some(wall));
+        e.set_threads(threads);
+        e.compute_velocities();
+        if drift {
+            for z in 0..nz {
+                for k in 0..n {
+                    for j in 0..n {
+                        e.set_bin_velocity3(j, k, z, Vector3::new(3.0, 2.5, 1.5));
+                    }
+                }
+            }
+        }
+        e
+    }
+
     #[test]
     fn parallel_advection_is_bit_identical_to_serial() {
         // Several steps of one table (written back between steps) under
@@ -657,7 +899,7 @@ mod tests {
                 let mut table = CellTable::new(&nl, &p, &grid);
                 let mut outcomes = Vec::new();
                 for step in 0..4 {
-                    let out = table.advect(&e, &cfg, respect_frozen, &mut p);
+                    let out = table.advect(&e, &cfg, cfg.dt, respect_frozen, &mut p, None);
                     let ref_out = advect_cells_reference(
                         &e,
                         &grid,
@@ -690,6 +932,67 @@ mod tests {
                     "outcomes differ across threads"
                 );
                 assert_eq!(p, &per_threads[0].1, "placements differ across threads");
+            }
+        }
+
+        // The stacked kernel against `advect_cells3`: the same cells with
+        // depths over a 4-tier slab at z0 = 2 of an 8-tier stack (some
+        // outside the slab, some on the stack's floor and ceiling), the
+        // wall block raised through the stack.
+        let (z0, global_nz) = (2, 8);
+        let mut vp0 = VolPlacement {
+            xy: p0,
+            z: vec![0.5; nl.num_cells()],
+        };
+        for (i, c) in nl.movable_cell_ids().enumerate() {
+            vp0.z[c.index()] = match i % 50 {
+                0 => 0.5,
+                1 => global_nz as f64 - 0.5,
+                _ => 0.5 + 7.0 * ((i * 7919) % 1000) as f64 / 1000.0,
+            };
+        }
+        for (drift, interpolate) in (0..4).map(|m| (m & 2 != 0, m & 1 != 0)) {
+            let cfg = DiffusionConfig {
+                interpolate,
+                ..DiffusionConfig::default()
+            };
+            let mut per_threads = Vec::new();
+            for threads in [1, 2, 4, 8] {
+                let mut e = bumpy_stack(threads, drift);
+                let mut vp = vp0.clone();
+                let mut reference = vp0.clone();
+                let mut table = CellTable::new(&nl, &vp.xy, &grid);
+                table.stack(&vp.z, z0, global_nz);
+                let mut outcomes = Vec::new();
+                for step in 0..4 {
+                    let out = table.advect(&e, &cfg, cfg.dt, false, &mut vp.xy, Some(&mut vp.z));
+                    let ref_out =
+                        advect_cells3(&e, &grid, &nl, &mut reference, &cfg, z0, global_nz);
+                    let case = format!(
+                        "stacked step {step}, {threads} threads, drift {drift}, \
+                             interpolate {interpolate}"
+                    );
+                    assert!(out.moved_cells > 0, "{case}: nothing moved");
+                    assert_eq!(vp.xy, reference.xy, "{case}: placement differs");
+                    assert_eq!(vp.z, reference.z, "{case}: depths differ");
+                    assert_eq!(out.moved_cells, ref_out.moved_cells, "{case}");
+                    let rel = (out.total_movement - ref_out.total_movement).abs()
+                        / ref_out.total_movement;
+                    assert!(rel <= 1e-12, "{case}: movement off by {rel:e}");
+                    outcomes.push(out);
+                    if !drift {
+                        e.step_density(cfg.dt);
+                        e.compute_velocities();
+                    }
+                }
+                per_threads.push((outcomes, vp));
+            }
+            for (outcomes, vp) in &per_threads[1..] {
+                assert_eq!(
+                    outcomes, &per_threads[0].0,
+                    "stacked outcomes differ across threads"
+                );
+                assert_eq!(vp, &per_threads[0].1, "stacked placements differ");
             }
         }
     }

@@ -968,12 +968,12 @@ impl DiffusionEngine {
         Vector::new(self.vel[0][i], self.vel[1][i])
     }
 
-    /// The plane-major x and y velocity buffers of the latest
-    /// [`compute_velocities`](Self::compute_velocities) call, read
-    /// directly by the advect pass.
+    /// The plane-major x, y and z velocity buffers of the latest
+    /// [`compute_velocities`](Self::compute_velocities) call (z empty on
+    /// a planar grid), read directly by the advect pass.
     #[inline]
-    pub(crate) fn velocity_xy(&self) -> (&[f64], &[f64]) {
-        (&self.vel[0], &self.vel[1])
+    pub(crate) fn velocity_field(&self) -> [&[f64]; 3] {
+        [&self.vel[0], &self.vel[1], &self.vel[2]]
     }
 
     /// The per-axis velocity of bin `(j, k, z)` on a volumetric grid.

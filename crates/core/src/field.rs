@@ -10,8 +10,8 @@
 //! diffusion steps on `area_density + weight · normalized(field)` and
 //! moves cells along the blended gradients.
 
-use crate::advect::CellTable;
-use crate::{DiffusionConfig, DiffusionEngine, DiffusionResult, StepRecord, Telemetry};
+use crate::global::DiffusionRun;
+use crate::{DiffusionConfig, DiffusionEngine, DiffusionResult, NoopObserver};
 use dpm_netlist::Netlist;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
 
@@ -118,35 +118,18 @@ impl FieldMigration {
             .zip(field)
             .map(|(&d, &f)| d + self.weight * (f / peak).max(0.0))
             .collect();
-        let mut engine = DiffusionEngine::from_raw(
+        let engine = DiffusionEngine::from_raw(
             grid.nx(),
             grid.ny(),
             blended,
             Some(map.fixed_mask().to_vec()),
         );
-        engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
-        engine.set_threads(self.cfg.threads);
-
-        let mut cells = CellTable::new(netlist, placement, &grid);
-        let mut telemetry = Telemetry::new();
-        for step in 0..self.steps {
-            engine.compute_velocities();
-            let advect = cells.advect(&engine, &self.cfg, false, placement);
-            engine.step_density(self.cfg.dt * self.cfg.diffusivity);
-            telemetry.push(StepRecord {
-                step,
-                movement: advect.total_movement,
-                computed_overflow: engine.total_overflow(self.cfg.d_max),
-                max_density: engine.max_live_density(),
-                measured_overflow: None,
-            });
-        }
+        let mut observer = NoopObserver;
+        let run = DiffusionRun::new(&self.cfg, netlist, &grid, engine, placement, &mut observer);
+        let (result, _) = run.run(Some(self.steps), false, &|| false);
         DiffusionResult {
-            steps: self.steps,
-            rounds: 1,
             converged: true,
-            cancelled: false,
-            telemetry,
+            ..result
         }
     }
 }

@@ -1,15 +1,16 @@
-//! Global diffusion-based legalization (paper Algorithm 1).
+//! Global diffusion-based legalization (paper Algorithm 1), and the one
+//! Algorithm-1 loop every diffusion runner steps through.
 
 use crate::advect::CellTable;
 use crate::observe::{DiffusionObserver, KernelEvent, KernelKind, NoopObserver, StepEvent};
-use crate::spectral::SpectralSolver;
+use crate::spectral::{SpectralSolver, SpectralSolver3};
 use crate::{
-    manipulate_density, DiffusionConfig, DiffusionEngine, SolverKind, StepRecord, Telemetry,
+    manipulate_density, DiffusionConfig, DiffusionEngine, Dims, SolverKind, StepRecord, Telemetry,
 };
 use dpm_netlist::Netlist;
 use dpm_par::ThreadPool;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Outcome of a diffusion run ([`GlobalDiffusion`] or
 /// [`LocalDiffusion`](crate::LocalDiffusion)).
@@ -136,178 +137,237 @@ impl GlobalDiffusion {
         let splat_start = Instant::now();
         let map = DensityMap::from_placement_with_pool(netlist, placement, grid.clone(), &pool);
         let splat_elapsed = splat_start.elapsed();
-        let mut engine = DiffusionEngine::from_density_map(&map);
-        engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
-        engine.set_threads(self.cfg.threads);
-        engine
-            .kernel_timers_mut()
-            .splat
-            .record(splat_elapsed, pool.threads());
-        observer.on_kernel(&KernelEvent {
-            kernel: KernelKind::Splat,
-            elapsed: splat_elapsed,
-            threads: pool.threads(),
-        });
+        let engine = DiffusionEngine::from_density_map(&map);
+        let mut run = DiffusionRun::new(&self.cfg, netlist, &grid, engine, placement, observer);
+        run.report(KernelKind::Splat, splat_elapsed, true);
+        run.run(None, self.cfg.manipulate, should_stop).0
+    }
+}
 
-        if self.cfg.manipulate {
+/// The spectral solver a wall-free run jumps through instead of FTCS.
+enum Jump {
+    Planar(SpectralSolver),
+    Stacked(SpectralSolver3),
+}
+
+/// One diffusion run as the paper's Algorithm 1 loop: per
+/// [`step`](Self::step), velocity (Eq. 5), advect (Eq. 7), then an FTCS
+/// step (Eq. 4) or a spectral jump. Global, volumetric and field-driven
+/// runs iterate it through [`run`](Self::run); local diffusion steps it
+/// from its round loop. Planar and stacked runs differ only in the
+/// engine's dims and the cell table's depth column.
+pub(crate) struct DiffusionRun<'a> {
+    cfg: &'a DiffusionConfig,
+    netlist: &'a Netlist,
+    pub(crate) placement: &'a mut Placement,
+    /// Per-cell depths of a stacked run, written by every advect pass.
+    depths: Option<&'a mut [f64]>,
+    pub(crate) observer: &'a mut dyn DiffusionObserver,
+    pub(crate) engine: DiffusionEngine,
+    cells: CellTable,
+    /// Pin cells whose bin is frozen (local diffusion's windows).
+    pub(crate) respect_frozen: bool,
+    /// The spectral solver and its output buffer when the run jumps.
+    jump: Option<(Jump, Vec<f64>)>,
+    /// FTCS-step budget covered so far: the step count without a jump.
+    budget: usize,
+    pub(crate) telemetry: Telemetry,
+}
+
+impl<'a> DiffusionRun<'a> {
+    /// A planar run of `engine`, under `cfg`'s boundary rule and threads,
+    /// advecting the movable cells of `placement` over `grid` in place.
+    pub(crate) fn new(
+        cfg: &'a DiffusionConfig,
+        netlist: &'a Netlist,
+        grid: &BinGrid,
+        mut engine: DiffusionEngine,
+        placement: &'a mut Placement,
+        observer: &'a mut dyn DiffusionObserver,
+    ) -> Self {
+        engine.set_conservative_boundaries(!cfg.paper_boundaries);
+        engine.set_threads(cfg.threads);
+        Self {
+            cfg,
+            netlist,
+            cells: CellTable::new(netlist, placement, grid),
+            placement,
+            depths: None,
+            observer,
+            engine,
+            respect_frozen: false,
+            jump: None,
+            budget: 0,
+            telemetry: Telemetry::new(),
+        }
+    }
+
+    /// Makes this a stacked run that advects `depths` (by cell id, global
+    /// tiers) too, its engine covering tiers `z0..` of `global_nz`.
+    pub(crate) fn stacked(mut self, depths: &'a mut [f64], z0: usize, global_nz: usize) -> Self {
+        self.cells.stack(depths, z0, global_nz);
+        self.depths = Some(depths);
+        self
+    }
+
+    /// Reports one kernel call to the observer, first booking it into
+    /// the engine's timer for `kernel` when `book` is set (the velocity
+    /// and FTCS kernels book themselves). Both carry the pool width.
+    pub(crate) fn report(&mut self, kernel: KernelKind, elapsed: Duration, book: bool) {
+        let threads = self.engine.threads();
+        if book {
+            let timers = self.engine.kernel_timers_mut();
+            let timer = match kernel {
+                KernelKind::Ftcs => &mut timers.ftcs,
+                KernelKind::Velocity => &mut timers.velocity,
+                KernelKind::Advect => &mut timers.advect,
+                KernelKind::Splat => &mut timers.splat,
+            };
+            timer.record(elapsed, threads);
+        }
+        self.observer.on_kernel(&KernelEvent {
+            kernel,
+            elapsed,
+            threads,
+        });
+    }
+
+    /// One Algorithm-1 step: velocity, one advect pass over the step's
+    /// stride (1 under FTCS; a jump's strides double, so early steps
+    /// resolve the fast transient finely and later ones cover whole
+    /// swaths of diffusion time), then the FTCS step or the jump to the
+    /// stride's end. The record goes to the telemetry and the observer.
+    pub(crate) fn step(&mut self, round: usize, measured_overflow: Option<f64>) -> StepRecord {
+        let cfg = self.cfg;
+        let stride = match self.jump {
+            Some(_) => (1usize << self.telemetry.len().min(20)).min(cfg.max_steps - self.budget),
+            None => 1,
+        };
+        let start = Instant::now();
+        self.engine.compute_velocities();
+        self.report(KernelKind::Velocity, start.elapsed(), false);
+
+        // Velocities act for the whole stride, still clamped per pass by
+        // max_step_displacement.
+        let start = Instant::now();
+        let advect = self.cells.advect(
+            &self.engine,
+            cfg,
+            cfg.dt * stride as f64,
+            self.respect_frozen,
+            self.placement,
+            self.depths.as_deref_mut(),
+        );
+        self.report(KernelKind::Advect, start.elapsed(), true);
+
+        // The jump replaces the FTCS sweep, so its time lands in the
+        // ftcs slot (with the pool width, though transforms are serial).
+        let start = Instant::now();
+        let tau = cfg.dt * cfg.diffusivity;
+        self.budget += stride;
+        let jumped = match &mut self.jump {
+            Some((solver, field)) => {
+                let t = self.budget as f64 * tau * 0.5;
+                match solver {
+                    Jump::Planar(s) => s.density_at(t, field),
+                    Jump::Stacked(s) => s.density_at(t, field),
+                }
+                self.engine.load_densities(field);
+                true
+            }
+            None => {
+                self.engine.step_density(tau);
+                false
+            }
+        };
+        self.report(KernelKind::Ftcs, start.elapsed(), jumped);
+
+        let record = StepRecord {
+            step: self.telemetry.len(),
+            movement: advect.total_movement,
+            computed_overflow: self.engine.total_overflow(cfg.d_max),
+            max_density: self.engine.max_live_density(),
+            measured_overflow,
+        };
+        self.telemetry.push(record);
+        self.observer.on_step(&StepEvent {
+            record,
+            round,
+            placement: self.placement,
+            netlist: self.netlist,
+        });
+        record
+    }
+
+    /// Steps until the maximum live density reaches `d_max + Δ`,
+    /// `should_stop` fires between steps, or the step budget runs out —
+    /// or, given `exact_steps`, exactly that many FTCS steps with no
+    /// convergence test. `manipulate` first lifts the field to its
+    /// Eq. 8 equilibrium.
+    pub(crate) fn run(
+        mut self,
+        exact_steps: Option<usize>,
+        manipulate: bool,
+        should_stop: &dyn Fn() -> bool,
+    ) -> (DiffusionResult, DiffusionEngine) {
+        let cfg = self.cfg;
+        let engine = &mut self.engine;
+        if manipulate {
             let mut d = engine.densities().to_vec();
-            let wall = engine.wall_mask().to_vec();
-            manipulate_density(&mut d, Some(&wall), self.cfg.d_max);
+            manipulate_density(&mut d, Some(engine.wall_mask()), cfg.d_max);
             engine.load_densities(&d);
         }
-
-        let mut cells = CellTable::new(netlist, placement, &grid);
-        let mut telemetry = Telemetry::new();
-        let mut steps = 0;
-        let mut converged = engine.max_live_density() <= self.cfg.d_max + self.cfg.delta;
-        let mut cancelled = false;
-
-        // The spectral jump models the pure heat equation with
-        // zero-flux boundaries: walls/frozen bins break the DCT
-        // diagonalization, and the paper's mirror boundary rule is a
-        // different operator, so those runs keep the FTCS stepper.
-        let use_spectral = self.cfg.solver == SolverKind::Spectral
-            && !self.cfg.paper_boundaries
+        // The jump models the pure heat equation with zero-flux
+        // boundaries: walls/frozen bins break the DCT diagonalization, and
+        // the paper's mirror boundary rule is a different operator, so
+        // those runs keep the FTCS stepper — as do exact-step runs, which
+        // must be a pure function of their field.
+        if exact_steps.is_none()
+            && cfg.solver == SolverKind::Spectral
+            && !cfg.paper_boundaries
             && !engine.wall_mask().iter().any(|&w| w)
-            && !engine.frozen_mask().iter().any(|&f| f);
-
-        if use_spectral {
-            // Closed-form evolution: the field no longer needs
-            // stepping — iterations exist only so cells can follow the
-            // changing velocity field. Strides double geometrically
-            // (in units of the FTCS step budget): early iterations
-            // resolve the fast transient finely, later ones jump whole
-            // swaths of diffusion time in one inverse transform.
-            let tau = self.cfg.dt * self.cfg.diffusivity;
-            let mut solver = SpectralSolver::new(engine.nx(), engine.ny(), engine.densities());
-            let mut field = vec![0.0; engine.nx() * engine.ny()];
-            let mut elapsed_budget = 0usize;
-            while !converged && elapsed_budget < self.cfg.max_steps {
-                if should_stop() {
-                    cancelled = true;
-                    break;
-                }
-                let stride = (1usize << steps.min(20)).min(self.cfg.max_steps - elapsed_budget);
-                let velocity_start = Instant::now();
-                engine.compute_velocities();
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Velocity,
-                    elapsed: velocity_start.elapsed(),
-                    threads: pool.threads(),
-                });
-                let advect_start = Instant::now();
-                // One advect call covers the whole stride: velocities
-                // act for stride·Δt, still clamped per call by
-                // max_step_displacement.
-                let mut strided = self.cfg.clone();
-                strided.dt = self.cfg.dt * stride as f64;
-                let advect = cells.advect(&engine, &strided, false, placement);
-                let advect_elapsed = advect_start.elapsed();
-                engine
-                    .kernel_timers_mut()
-                    .advect
-                    .record(advect_elapsed, pool.threads());
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Advect,
-                    elapsed: advect_elapsed,
-                    threads: pool.threads(),
-                });
-                // The jump replaces the FTCS sweep, so its time lands
-                // in the ftcs timer slot (recorded with the pool width
-                // the run was configured for, though transforms are
-                // serial by construction).
-                let jump_start = Instant::now();
-                elapsed_budget += stride;
-                solver.density_at(elapsed_budget as f64 * tau * 0.5, &mut field);
-                engine.load_densities(&field);
-                let jump_elapsed = jump_start.elapsed();
-                engine
-                    .kernel_timers_mut()
-                    .ftcs
-                    .record(jump_elapsed, pool.threads());
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Ftcs,
-                    elapsed: jump_elapsed,
-                    threads: pool.threads(),
-                });
-                steps += 1;
-                let max_density = engine.max_live_density();
-                let record = StepRecord {
-                    step: steps - 1,
-                    movement: advect.total_movement,
-                    computed_overflow: engine.total_overflow(self.cfg.d_max),
-                    max_density,
-                    measured_overflow: None,
-                };
-                telemetry.push(record);
-                observer.on_step(&StepEvent {
-                    record,
-                    round: 1,
-                    placement,
-                    netlist,
-                });
-                converged = max_density <= self.cfg.d_max + self.cfg.delta;
-            }
-        } else {
-            while !converged && steps < self.cfg.max_steps {
-                if should_stop() {
-                    cancelled = true;
-                    break;
-                }
-                let velocity_start = Instant::now();
-                engine.compute_velocities();
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Velocity,
-                    elapsed: velocity_start.elapsed(),
-                    threads: pool.threads(),
-                });
-                let advect_start = Instant::now();
-                let advect = cells.advect(&engine, &self.cfg, false, placement);
-                let advect_elapsed = advect_start.elapsed();
-                engine
-                    .kernel_timers_mut()
-                    .advect
-                    .record(advect_elapsed, pool.threads());
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Advect,
-                    elapsed: advect_elapsed,
-                    threads: pool.threads(),
-                });
-                let ftcs_start = Instant::now();
-                engine.step_density(self.cfg.dt * self.cfg.diffusivity);
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Ftcs,
-                    elapsed: ftcs_start.elapsed(),
-                    threads: pool.threads(),
-                });
-                steps += 1;
-                let max_density = engine.max_live_density();
-                let record = StepRecord {
-                    step: steps - 1,
-                    movement: advect.total_movement,
-                    computed_overflow: engine.total_overflow(self.cfg.d_max),
-                    max_density,
-                    measured_overflow: None,
-                };
-                telemetry.push(record);
-                observer.on_step(&StepEvent {
-                    record,
-                    round: 1,
-                    placement,
-                    netlist,
-                });
-                converged = max_density <= self.cfg.d_max + self.cfg.delta;
-            }
+            && !engine.frozen_mask().iter().any(|&f| f)
+        {
+            let (nx, ny, d) = (engine.nx(), engine.ny(), engine.densities());
+            let solver = match engine.dims() {
+                Dims::D2 { .. } => Jump::Planar(SpectralSolver::new(nx, ny, d)),
+                Dims::D3 { nz, .. } => Jump::Stacked(SpectralSolver3::new(nx, ny, nz, d)),
+            };
+            self.jump = Some((solver, vec![0.0; d.len()]));
         }
 
-        telemetry.set_kernels(*engine.kernel_timers());
-        DiffusionResult {
-            steps,
-            rounds: 1,
+        let target = cfg.d_max + cfg.delta;
+        let cap = exact_steps.unwrap_or(cfg.max_steps);
+        let mut converged = exact_steps.is_none() && self.engine.max_live_density() <= target;
+        let mut cancelled = false;
+        while !converged && self.budget < cap {
+            if should_stop() {
+                cancelled = true;
+                break;
+            }
+            let record = self.step(1, None);
+            converged = exact_steps.is_none() && record.max_density <= target;
+        }
+        self.finish(1, converged, cancelled)
+    }
+
+    /// The run's result, its telemetry carrying the engine's kernel
+    /// timers, and the engine.
+    pub(crate) fn finish(
+        mut self,
+        rounds: usize,
+        converged: bool,
+        cancelled: bool,
+    ) -> (DiffusionResult, DiffusionEngine) {
+        self.telemetry.set_kernels(*self.engine.kernel_timers());
+        let result = DiffusionResult {
+            steps: self.telemetry.len(),
+            rounds,
             converged,
             cancelled,
-            telemetry,
-        }
+            telemetry: self.telemetry,
+        };
+        (result, self.engine)
     }
 }
 
@@ -690,5 +750,25 @@ mod tests {
         assert_eq!(k.advect.calls as usize, r.steps);
         assert_eq!(k.splat.calls, 1, "one initial density splat");
         assert_eq!(k.ftcs.max_threads, 2);
+    }
+
+    #[test]
+    fn volumetric_kernel_timers_cover_every_step() {
+        // A stacked run books its kernels through the same step as a
+        // planar one, with the pool width, under either solver.
+        for solver in [SolverKind::Ftcs, SolverKind::Spectral] {
+            let (nl, die, xy) = pile(24, Point::new(36.0, 36.0));
+            let z = vec![1.5; nl.num_cells()];
+            let mut vp = crate::VolPlacement { xy, z };
+            let r = crate::VolumetricDiffusion::new(cfg().with_solver(solver).with_threads(2), 3)
+                .run(&nl, &die, &mut vp);
+            assert!(r.steps > 0, "{solver:?}: no step");
+            let k = r.telemetry.kernels();
+            assert_eq!(k.velocity.calls as usize, r.steps, "{solver:?}");
+            assert_eq!(k.advect.calls as usize, r.steps, "{solver:?}");
+            assert_eq!(k.ftcs.calls as usize, r.steps, "{solver:?}");
+            assert_eq!(k.splat.calls, 1, "{solver:?}: one initial splat");
+            assert_eq!(k.advect.max_threads, 2, "{solver:?}");
+        }
     }
 }

@@ -1,12 +1,9 @@
 //! Robust local diffusion with dynamic density update (paper Algorithm 3).
 
-use crate::advect::CellTable;
-use crate::global::DiffusionResult;
-use crate::observe::{
-    DiffusionObserver, KernelEvent, KernelKind, NoopObserver, RoundEvent, StepEvent,
-};
+use crate::global::{DiffusionResult, DiffusionRun};
+use crate::observe::{DiffusionObserver, KernelKind, NoopObserver, RoundEvent};
 use crate::window::identify_windows_into;
-use crate::{DiffusionConfig, DiffusionEngine, StepRecord, Telemetry};
+use crate::{DiffusionConfig, DiffusionEngine};
 use dpm_netlist::Netlist;
 use dpm_par::ThreadPool;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
@@ -130,8 +127,6 @@ impl LocalDiffusion {
         assert!(self.cfg.w2 >= self.cfg.w1, "W2 must be at least W1");
         let grid = BinGrid::new(die.outline(), self.cfg.bin_size);
         let pool = ThreadPool::new(self.cfg.threads);
-        let mut telemetry = Telemetry::new();
-        let mut steps = 0usize;
         let mut rounds = 0usize;
         let mut converged = false;
         let mut cancelled = false;
@@ -141,21 +136,12 @@ impl LocalDiffusion {
         let splat_start = Instant::now();
         let mut map = DensityMap::from_placement_with_pool(netlist, placement, grid.clone(), &pool);
         let splat_elapsed = splat_start.elapsed();
-        let mut engine = DiffusionEngine::from_density_map(&map);
-        engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
-        engine.set_threads(self.cfg.threads);
-        engine
-            .kernel_timers_mut()
-            .splat
-            .record(splat_elapsed, pool.threads());
-        observer.on_kernel(&KernelEvent {
-            kernel: KernelKind::Splat,
-            elapsed: splat_elapsed,
-            threads: pool.threads(),
-        });
+        let engine = DiffusionEngine::from_density_map(&map);
         let mut avg: Vec<f64> = Vec::new();
         let mut frozen: Vec<bool> = Vec::new();
-        let mut cells = CellTable::new(netlist, placement, &grid);
+        let mut run = DiffusionRun::new(&self.cfg, netlist, &grid, engine, placement, observer);
+        run.respect_frozen = true;
+        run.report(KernelKind::Splat, splat_elapsed, true);
 
         while rounds < self.cfg.max_rounds {
             if should_stop() {
@@ -165,18 +151,9 @@ impl LocalDiffusion {
             // Dynamic density update: measure the *real* placement.
             if rounds > 0 {
                 let splat_start = Instant::now();
-                map.recompute_with_pool(netlist, placement, &pool);
-                let splat_elapsed = splat_start.elapsed();
-                engine
-                    .kernel_timers_mut()
-                    .splat
-                    .record(splat_elapsed, pool.threads());
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Splat,
-                    elapsed: splat_elapsed,
-                    threads: pool.threads(),
-                });
-                engine.reload_from_density_map(&map);
+                map.recompute_with_pool(netlist, run.placement, &pool);
+                run.report(KernelKind::Splat, splat_start.elapsed(), true);
+                run.engine.reload_from_density_map(&map);
             }
             map.windowed_average_into(self.cfg.w1, &mut avg);
             let (measured, max_local) = map.local_overflow_from(&avg, self.cfg.d_max);
@@ -200,78 +177,30 @@ impl LocalDiffusion {
             }
             best_overflow = best_overflow.min(measured);
             rounds += 1;
-            observer.on_round(&RoundEvent {
+            run.observer.on_round(&RoundEvent {
                 round: rounds,
                 measured_overflow: measured,
                 max_window_overflow: max_local,
-                steps_so_far: steps,
+                steps_so_far: run.telemetry.len(),
             });
 
-            engine.set_frozen_mask(&frozen);
+            run.engine.set_frozen_mask(&frozen);
 
             for i in 0..self.cfg.n_u {
-                if steps >= self.cfg.max_steps {
+                if run.telemetry.len() >= self.cfg.max_steps {
                     break;
                 }
                 if i > 0 && should_stop() {
                     cancelled = true;
                     break;
                 }
-                let velocity_start = Instant::now();
-                engine.compute_velocities();
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Velocity,
-                    elapsed: velocity_start.elapsed(),
-                    threads: pool.threads(),
-                });
-                let advect_start = Instant::now();
-                let advect = cells.advect(&engine, &self.cfg, true, placement);
-                let advect_elapsed = advect_start.elapsed();
-                engine
-                    .kernel_timers_mut()
-                    .advect
-                    .record(advect_elapsed, pool.threads());
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Advect,
-                    elapsed: advect_elapsed,
-                    threads: pool.threads(),
-                });
-                let ftcs_start = Instant::now();
-                engine.step_density(self.cfg.dt * self.cfg.diffusivity);
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Ftcs,
-                    elapsed: ftcs_start.elapsed(),
-                    threads: pool.threads(),
-                });
-                let record = StepRecord {
-                    step: steps,
-                    movement: advect.total_movement,
-                    computed_overflow: engine.total_overflow(self.cfg.d_max),
-                    max_density: engine.max_live_density(),
-                    measured_overflow: if i == 0 { Some(measured) } else { None },
-                };
-                telemetry.push(record);
-                observer.on_step(&StepEvent {
-                    record,
-                    round: rounds,
-                    placement,
-                    netlist,
-                });
-                steps += 1;
+                run.step(rounds, (i == 0).then_some(measured));
             }
-            if cancelled || steps >= self.cfg.max_steps {
+            if cancelled || run.telemetry.len() >= self.cfg.max_steps {
                 break;
             }
         }
-
-        telemetry.set_kernels(*engine.kernel_timers());
-        DiffusionResult {
-            steps,
-            rounds,
-            converged,
-            cancelled,
-            telemetry,
-        }
+        run.finish(rounds, converged, cancelled).0
     }
 }
 

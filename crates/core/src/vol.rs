@@ -13,9 +13,9 @@
 //!   splat their area overlap into their own tier's plane, while fixed
 //!   macros raise **through-stack walls** — a macro footprint blocks its
 //!   bins in *every* tier, the 3D-IC analogue of a TSV keep-out column;
-//! - [`VolumetricDiffusion`] runs the migration loop — velocity, serial
-//!   3D advection with trilinear interpolation, FTCS step — under either
-//!   solver ([`SolverKind::Spectral`] jumps through
+//! - [`VolumetricDiffusion`] runs the migration loop — velocity, 3D
+//!   advection with trilinear interpolation, FTCS step — under either
+//!   solver ([`SolverKind::Spectral`](crate::SolverKind) jumps through
 //!   [`SpectralSolver3`](crate::SpectralSolver3) when the stack has no
 //!   walls);
 //! - [`VolJobSpec`] is the *field-continuation* contract the z-slab
@@ -31,13 +31,11 @@
 //! drift across a slab boundary mid-round; the router re-derives
 //! ownership from the fresh depths every round.
 
-use crate::advect::{bin_index, AdvectOutcome};
-use crate::spectral::SpectralSolver3;
+use crate::global::DiffusionRun;
 use crate::{
-    manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, KernelEvent,
-    KernelKind, NoopObserver, SolverKind, StepRecord, Telemetry,
+    DiffusionConfig, DiffusionEngine, DiffusionObserver, KernelKind, NoopObserver, Telemetry,
 };
-use dpm_geom::{clamp, Point, Point3};
+use dpm_geom::Point;
 use dpm_netlist::{CellId, CellKind, Netlist};
 use dpm_place::{BinGrid, BinIdx, DensityMap, Die, Placement};
 use std::time::Instant;
@@ -82,14 +80,8 @@ impl VolPlacement {
     /// [`ZSlabPartition::owner_of_depth`]: crate::ZSlabPartition::owner_of_depth
     #[inline]
     pub fn tier(&self, id: CellId, nz: usize) -> usize {
-        tier_of(self.z[id.index()], nz)
+        (self.z[id.index()].floor().max(0.0) as usize).min(nz - 1)
     }
-}
-
-/// The tier containing depth `z`, clamped to `[0, nz)`.
-#[inline]
-fn tier_of(z: f64, nz: usize) -> usize {
-    (z.floor().max(0.0) as usize).min(nz - 1)
 }
 
 /// Raises the through-stack macro walls into `density`/`wall`: bins
@@ -238,7 +230,8 @@ pub struct VolResult {
     pub converged: bool,
     /// `true` if a cancellation hook cut the run short.
     pub cancelled: bool,
-    /// Per-step telemetry ([`StepRecord::max_density`] is the monotone
+    /// Per-step telemetry (its
+    /// [`max_density`](crate::StepRecord::max_density) is the monotone
     /// max-density trace of the maximum principle).
     pub telemetry: Telemetry,
     /// The final plane-major density field of the job's region — the
@@ -249,12 +242,11 @@ pub struct VolResult {
 /// Volumetric global diffusion: the planar Algorithm 1 with a tier axis.
 ///
 /// The loop is the planar one, per axis: compute the velocity field,
-/// advect every movable cell trilinearly (serial, netlist order —
-/// deterministic at any thread count), step the density by FTCS (the
+/// advect every movable cell trilinearly, step the density by FTCS (the
 /// `Δt·ndim ≤ 1` stability bound holds for the default `Δt = 0.2`), and
 /// stop when the maximum live density reaches `d_max + Δ`. Under
-/// [`SolverKind::Spectral`] a wall-free stack jumps through
-/// [`SpectralSolver3`](crate::SpectralSolver3) with the same
+/// [`SolverKind::Spectral`](crate::SolverKind) a wall-free stack jumps
+/// through [`SpectralSolver3`](crate::SpectralSolver3) with the same
 /// geometrically-growing stride schedule as the planar runner.
 ///
 /// # Examples
@@ -358,9 +350,11 @@ impl VolumetricDiffusion {
     }
 
     /// Like [`run_job`](Self::run_job) with an attached
-    /// [`DiffusionObserver`]: each timed kernel invocation additionally
-    /// fires [`DiffusionObserver::on_kernel`]. Observers are read-only
-    /// witnesses, so the result is bit-identical with or without one.
+    /// [`DiffusionObserver`]: every step fires
+    /// [`DiffusionObserver::on_step`] (round 1, planar positions) and
+    /// every timed kernel [`DiffusionObserver::on_kernel`]. Observers are
+    /// read-only witnesses, so the result is bit-identical with or
+    /// without one.
     pub fn run_job_observed(
         &self,
         job: &VolJobSpec,
@@ -370,11 +364,6 @@ impl VolumetricDiffusion {
         should_stop: &dyn Fn() -> bool,
         observer: &mut dyn DiffusionObserver,
     ) -> VolResult {
-        let kernel_event = |kernel: KernelKind, elapsed: std::time::Duration| KernelEvent {
-            kernel,
-            elapsed,
-            threads: self.cfg.threads.max(1),
-        };
         assert_eq!(
             placement.z.len(),
             netlist.num_cells(),
@@ -389,8 +378,7 @@ impl VolumetricDiffusion {
                     grid.len() * job.nz,
                     "raw field does not match the job region"
                 );
-                // Shift to region-local depths only for the splat of the
-                // wall mask — macros are planar so only nz matters.
+                // Macros are planar, so the wall mask needs only nz.
                 (
                     f.clone(),
                     volume_wall_mask(netlist, &placement.xy, &grid, job.nz),
@@ -405,250 +393,32 @@ impl VolumetricDiffusion {
                 splat_volume(netlist, &local, &grid, job.nz)
             }
         };
-        let mut engine =
-            DiffusionEngine::from_raw_3d(grid.nx(), grid.ny(), job.nz, density, Some(wall));
-        engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
-        engine.set_threads(self.cfg.threads);
         let splat_elapsed = splat_start.elapsed();
-        engine.kernel_timers_mut().splat.record(splat_elapsed, 1);
-        observer.on_kernel(&kernel_event(KernelKind::Splat, splat_elapsed));
-
-        if self.cfg.manipulate && job.field.is_none() {
-            let mut d = engine.densities().to_vec();
-            let wall = engine.wall_mask().to_vec();
-            manipulate_density(&mut d, Some(&wall), self.cfg.d_max);
-            engine.load_densities(&d);
-        }
-
-        let mut telemetry = Telemetry::new();
-        let mut steps = 0;
-        let mut converged = job.exact_steps.is_none()
-            && engine.max_live_density() <= self.cfg.d_max + self.cfg.delta;
-        let mut cancelled = false;
-        let step_cap = job.exact_steps.unwrap_or(self.cfg.max_steps);
-
-        let use_spectral = job.exact_steps.is_none()
-            && self.cfg.solver == SolverKind::Spectral
-            && !self.cfg.paper_boundaries
-            && !engine.wall_mask().iter().any(|&w| w);
-
-        if use_spectral {
-            let tau = self.cfg.dt * self.cfg.diffusivity;
-            let mut solver =
-                SpectralSolver3::new(engine.nx(), engine.ny(), engine.nz(), engine.densities());
-            let mut field = vec![0.0; engine.densities().len()];
-            let mut elapsed_budget = 0usize;
-            while !converged && elapsed_budget < self.cfg.max_steps {
-                if should_stop() {
-                    cancelled = true;
-                    break;
-                }
-                let stride = (1usize << steps.min(20)).min(self.cfg.max_steps - elapsed_budget);
-                let velocity_start = Instant::now();
-                engine.compute_velocities();
-                observer.on_kernel(&kernel_event(
-                    KernelKind::Velocity,
-                    velocity_start.elapsed(),
-                ));
-                let advect_start = Instant::now();
-                let mut strided = self.cfg.clone();
-                strided.dt = self.cfg.dt * stride as f64;
-                let advect = advect_cells3(
-                    &engine,
-                    &grid,
-                    netlist,
-                    placement,
-                    &strided,
-                    job.z0,
-                    job.global_nz,
-                );
-                let advect_elapsed = advect_start.elapsed();
-                engine.kernel_timers_mut().advect.record(advect_elapsed, 1);
-                observer.on_kernel(&kernel_event(KernelKind::Advect, advect_elapsed));
-                let jump_start = Instant::now();
-                elapsed_budget += stride;
-                solver.density_at(elapsed_budget as f64 * tau * 0.5, &mut field);
-                engine.load_densities(&field);
-                let jump_elapsed = jump_start.elapsed();
-                engine.kernel_timers_mut().ftcs.record(jump_elapsed, 1);
-                observer.on_kernel(&kernel_event(KernelKind::Ftcs, jump_elapsed));
-                steps += 1;
-                let max_density = engine.max_live_density();
-                telemetry.push(StepRecord {
-                    step: steps - 1,
-                    movement: advect.total_movement,
-                    computed_overflow: engine.total_overflow(self.cfg.d_max),
-                    max_density,
-                    measured_overflow: None,
-                });
-                converged = max_density <= self.cfg.d_max + self.cfg.delta;
-            }
-        } else {
-            while !converged && steps < step_cap {
-                if should_stop() {
-                    cancelled = true;
-                    break;
-                }
-                let velocity_start = Instant::now();
-                engine.compute_velocities();
-                observer.on_kernel(&kernel_event(
-                    KernelKind::Velocity,
-                    velocity_start.elapsed(),
-                ));
-                let advect_start = Instant::now();
-                let advect = advect_cells3(
-                    &engine,
-                    &grid,
-                    netlist,
-                    placement,
-                    &self.cfg,
-                    job.z0,
-                    job.global_nz,
-                );
-                let advect_elapsed = advect_start.elapsed();
-                engine.kernel_timers_mut().advect.record(advect_elapsed, 1);
-                observer.on_kernel(&kernel_event(KernelKind::Advect, advect_elapsed));
-                let ftcs_start = Instant::now();
-                engine.step_density(self.cfg.dt * self.cfg.diffusivity);
-                observer.on_kernel(&kernel_event(KernelKind::Ftcs, ftcs_start.elapsed()));
-                steps += 1;
-                let max_density = engine.max_live_density();
-                telemetry.push(StepRecord {
-                    step: steps - 1,
-                    movement: advect.total_movement,
-                    computed_overflow: engine.total_overflow(self.cfg.d_max),
-                    max_density,
-                    measured_overflow: None,
-                });
-                if job.exact_steps.is_none() {
-                    converged = max_density <= self.cfg.d_max + self.cfg.delta;
-                }
-            }
-        }
-
-        telemetry.set_kernels(*engine.kernel_timers());
+        let engine =
+            DiffusionEngine::from_raw_3d(grid.nx(), grid.ny(), job.nz, density, Some(wall));
+        let VolPlacement { xy, z } = placement;
+        let mut run = DiffusionRun::new(&self.cfg, netlist, &grid, engine, xy, observer).stacked(
+            z,
+            job.z0,
+            job.global_nz,
+        );
+        run.report(KernelKind::Splat, splat_elapsed, true);
+        let manipulate = self.cfg.manipulate && job.field.is_none();
+        let (result, engine) = run.run(job.exact_steps, manipulate, should_stop);
         VolResult {
-            steps,
-            converged,
-            cancelled,
-            telemetry,
+            steps: result.steps,
+            converged: result.converged,
+            cancelled: result.cancelled,
+            telemetry: result.telemetry,
             field: engine.densities().to_vec(),
         }
     }
 }
 
-/// Moves every movable cell one step along the volumetric velocity
-/// field — the tier-axis extension of the planar advection (Eq. 7),
-/// rule-for-rule:
-///
-/// 1. cells whose center bin is a wall do not move;
-/// 2. the displacement is clamped per-axis to
-///    [`DiffusionConfig::max_step_displacement`];
-/// 3. x/y clamp the cell outline into the region, z clamps the center
-///    to `[0.5, global_nz − 0.5]` (cells are one tier deep) — a cell
-///    may leave its slab, never the stack;
-/// 4. a move into a wall is projected axis-wise, x first, then y, then
-///    z (walls are through-stack, so the z projection succeeds whenever
-///    the cell's own column is clear).
-///
-/// The loop is serial in netlist order: each step depends only on the
-/// cell's own position and the fixed field, so results are
-/// deterministic at any thread count by construction.
-fn advect_cells3(
-    engine: &DiffusionEngine,
-    grid: &BinGrid,
-    netlist: &Netlist,
-    placement: &mut VolPlacement,
-    cfg: &DiffusionConfig,
-    z0: usize,
-    global_nz: usize,
-) -> AdvectOutcome {
-    let nx = engine.nx() as f64;
-    let ny = engine.ny() as f64;
-    let gz = global_nz as f64;
-    let mut outcome = AdvectOutcome::default();
-    for cell_id in netlist.movable_cell_ids() {
-        let cell = netlist.cell(cell_id);
-        let old_pos = placement.xy.get(cell_id);
-        let old_z = placement.z[cell_id.index()];
-        let center = Point::new(old_pos.x + cell.width / 2.0, old_pos.y + cell.height / 2.0);
-        let c = grid.to_bin_coords(center);
-        let zl = old_z - z0 as f64;
-        let (j, k, t) = bin3_of(c.x, c.y, zl, engine);
-        if engine.is_wall3(j, k, t) {
-            continue;
-        }
-        let v = if cfg.interpolate {
-            engine.velocity_at3(Point3::new(c.x, c.y, zl))
-        } else {
-            engine.bin_velocity3(j, k, t)
-        };
-        let disp = (v * cfg.dt).clamped_linf(cfg.max_step_displacement);
-        if disp.linf_length() == 0.0 {
-            continue;
-        }
-        let half_w = cell.width / (2.0 * grid.bin_width());
-        let half_h = cell.height / (2.0 * grid.bin_height());
-        let lim = |v: f64, half: f64, n: f64| {
-            if 2.0 * half >= n {
-                n / 2.0 // cell spans the whole axis: pin to the middle
-            } else {
-                clamp(v, half, n - half)
-            }
-        };
-        let mut tx = lim(c.x + disp.x, half_w, nx);
-        let mut ty = lim(c.y + disp.y, half_h, ny);
-        // z stays global; clamp against the full stack.
-        let mut tz = lim(old_z + disp.z, 0.5, gz);
-        let (tj, tk, tt) = bin3_of(tx, ty, tz - z0 as f64, engine);
-        if engine.is_wall3(tj, tk, tt) {
-            let (xj, xk, xt) = bin3_of(tx, c.y, zl, engine);
-            let (yj, yk, yt) = bin3_of(c.x, ty, zl, engine);
-            let (zj, zk, zt) = bin3_of(c.x, c.y, tz - z0 as f64, engine);
-            if !engine.is_wall3(xj, xk, xt) {
-                ty = c.y;
-                tz = old_z;
-            } else if !engine.is_wall3(yj, yk, yt) {
-                tx = c.x;
-                tz = old_z;
-            } else if !engine.is_wall3(zj, zk, zt) {
-                tx = c.x;
-                ty = c.y;
-            } else {
-                continue;
-            }
-        }
-        let new_center = grid.to_world_coords(Point::new(tx, ty));
-        let new_pos = Point::new(
-            new_center.x - cell.width / 2.0,
-            new_center.y - cell.height / 2.0,
-        );
-        // Movement mixes units deliberately: world distance in-plane
-        // plus tier count along z (tiers have no world pitch).
-        let dist = (new_pos - old_pos).length() + (tz - old_z).abs();
-        if dist > 0.0 {
-            placement.xy.set(cell_id, new_pos);
-            placement.z[cell_id.index()] = tz;
-            outcome.total_movement += dist;
-            outcome.moved_cells += 1;
-        }
-    }
-    outcome
-}
-
-/// The (clamped) region-local bin containing a point: x/y in bin
-/// coordinates, z in region-local tier units.
-fn bin3_of(x: f64, y: f64, zl: f64, engine: &DiffusionEngine) -> (usize, usize, usize) {
-    (
-        bin_index(x, engine.nx()),
-        bin_index(y, engine.ny()),
-        bin_index(zl, engine.nz()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{manipulate_density, SolverKind};
     use dpm_netlist::NetlistBuilder;
 
     /// `n` movable cells piled near `at` in tier `tier` of a 96×96 die.

@@ -123,33 +123,60 @@ fn volumetric_job_over_tcp_runs_directly_and_omits_the_field() {
     // A client can skip the router and send a full-stack job straight to
     // a server. The reply carries the migrated depths; the evolved field
     // ships back only when the request shipped one in (the router's
-    // sub-job shape), so plain clients don't pay for it.
+    // sub-job shape), so plain clients don't pay for it. A streamed
+    // request gets one progress frame per step and the same result.
     let bench = hot_stack(103);
-    let req = request(&bench, 12);
-
     let (direct, steps) = direct_run(&bench);
 
     let server = CtlServer::start(CtlConfig::default()).expect("server starts");
     let mut client = ServeClient::connect(server.local_addr()).expect("connects");
-    let reply = client
-        .request(&req, PayloadEncoding::Binary)
-        .expect("transport");
+    let mut replies = Vec::new();
+    for stride in [0, 1] {
+        let mut req = request(&bench, 12 + u64::from(stride));
+        req.progress_stride = stride;
+        let mut frames = Vec::new();
+        let reply = client
+            .request_streaming(&req, PayloadEncoding::Binary, |p| frames.push(*p))
+            .expect("transport");
+        replies.push((stride, reply, frames));
+    }
     server.shutdown();
 
-    let resp = match reply {
-        Reply::Ok(resp) => resp,
-        Reply::Rejected(e) => panic!("rejected: {} {}", e.code.as_str(), e.message),
-    };
-    assert!(resp.converged);
-    assert_eq!(resp.steps, steps);
-    assert_eq!(
-        resp.positions,
-        direct.xy.as_slice().to_vec(),
-        "a wire round trip must not perturb the volumetric run"
-    );
-    let ext = resp.vol.expect("volumetric reply carries the extension");
-    assert_eq!(ext.z, direct.z);
-    assert!(ext.field.is_none(), "field not requested, must not ship");
+    for (stride, reply, frames) in replies {
+        let resp = match reply {
+            Reply::Ok(resp) => resp,
+            Reply::Rejected(e) => panic!("rejected: {} {}", e.code.as_str(), e.message),
+        };
+        assert!(resp.converged);
+        assert_eq!(resp.steps, steps);
+        assert_eq!(
+            resp.positions,
+            direct.xy.as_slice().to_vec(),
+            "a wire round trip must not perturb the volumetric run (stride {stride})"
+        );
+        let ext = resp.vol.expect("volumetric reply carries the extension");
+        assert_eq!(ext.z, direct.z);
+        assert!(ext.field.is_none(), "field not requested, must not ship");
+
+        if stride == 0 {
+            assert!(frames.is_empty(), "stride 0 streams nothing");
+            continue;
+        }
+        let at: Vec<u64> = frames.iter().map(|p| p.step).collect();
+        assert_eq!(
+            at,
+            (1..=resp.steps).collect::<Vec<_>>(),
+            "one frame per step"
+        );
+        for w in frames.windows(2) {
+            assert!(
+                w[1].max_density <= w[0].max_density,
+                "max density rose: {} -> {}",
+                w[0].max_density,
+                w[1].max_density
+            );
+        }
+    }
 }
 
 #[test]

@@ -130,15 +130,6 @@ impl ServeClient {
         Some(root)
     }
 
-    /// Like [`begin_trace`](Self::begin_trace) for delta requests. The
-    /// root span covers the whole handshake, including a cache-miss
-    /// baseline upload and resend.
-    pub fn begin_delta_trace(&mut self, req: &mut DeltaJobRequest) -> Option<TraceContext> {
-        let root = self.mint_root(req.id)?;
-        req.trace = Some(root);
-        Some(root)
-    }
-
     fn mint_root(&mut self, id: u64) -> Option<TraceContext> {
         let t = self.tracing.as_mut()?;
         let root = t.ids.root();
